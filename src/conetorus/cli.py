@@ -5,7 +5,7 @@ Complex flags use the "a+bi" syntax.  Reports go to stdout as text, json,
 or csv (--format); reruns are byte-identical (fixed seeds, floats printed
 with 15 significant digits).  Exit status: 0 on success and all checks
 passing, 1 when a verification suite fails, 2 on unparseable or
-out-of-domain input.
+out-of-domain input or when a numerical scheme does not converge.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .detformula import F, det_prelim, det_value, tau_bergman
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .geometry import conformal_factor_on_torus, save_field
 from .moduli import g_orbit, sigma_from_t, t_from_sigma
 from .spectral import assemble, flat_operator, lowest_eigenvalues
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
             report = _cmd_spectrum(args)
         else:
             report = _cmd_field_dump(args)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

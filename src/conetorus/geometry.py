@@ -279,6 +279,17 @@ def _e2phi_from_cover(cov: TorusCovering, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def grid_pair(grid_shape) -> tuple[int, int]:
+    """(n1, n2) from an integer (square grid) or a pair; both at least 32."""
+    if isinstance(grid_shape, int):
+        n1 = n2 = grid_shape
+    else:
+        n1, n2 = (int(n) for n in grid_shape)
+    if n1 < 32 or n2 < 32:
+        raise DomainError(f"grid {n1}x{n2} too coarse; need at least 32 points per side")
+    return n1, n2
+
+
 def conformal_factor_on_torus(sigma, t, grid_shape) -> ConformalField:
     """Sample the conformal factor of the lifted cone metric on a torus grid.
 
@@ -289,12 +300,7 @@ def conformal_factor_on_torus(sigma, t, grid_shape) -> ConformalField:
     """
     s = as_sigma(sigma)
     tc = validate_t(t)
-    if isinstance(grid_shape, int):
-        n1 = n2 = grid_shape
-    else:
-        n1, n2 = grid_shape
-    if n1 < 32 or n2 < 32:
-        raise DomainError(f"grid {n1}x{n2} too coarse; need at least 32 points per side")
+    n1, n2 = grid_pair(grid_shape)
 
     cov = TorusCovering(s, tc)
     z = _grid_points(s, n1, n2)

@@ -12,6 +12,10 @@ Keeping the degenerate weight at the cone point as-is selects the
 Friedrichs extension: the quadratic form is the plain Dirichlet form on
 grid functions, with no boundary condition inserted at the puncture.
 
+K is a periodic constant-coefficient stencil, diagonal under the 2-d DFT,
+and is stored as its symbol: the eigensolver runs Lanczos on FFT matvecs
+and never forms a matrix.
+
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
 -zeta'(0) from a tail-completed spectral zeta.
@@ -24,12 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .detformula import DetValue
 from .errors import ConvergenceError, DomainError
-from .geometry import ConformalField, conformal_factor_on_torus
+from .geometry import ConformalField, conformal_factor_on_torus, grid_pair
 from .moduli import g_orbit, sigma_from_t, validate_t
 from .specialfn import as_sigma
 
@@ -44,18 +47,24 @@ __all__ = [
     "zeta_det_estimate",
 ]
 
+# eigenpairs whose residual every solve measures; their vectors come from a
+# second Lanczos run this small, so the check's memory does not grow with m
+_CHECKED_PAIRS = 4
+
 
 @dataclass
 class AssembledOperator:
     """Stiffness/weight pair of the discretized eigenproblem.
 
+    ``stiffness`` is the symbol of K: its eigenvalue at each frequency of
+    the rfft2 half-spectrum, shape (n1, n2 // 2 + 1), zero only at (0, 0).
     ``area`` is the exact metric area and ``zeta0`` the exact value of the
     spectral zeta at s = 0 (heat-trace constant minus the zero mode); both
     are known in closed form for the two metrics assembled here and anchor
     the Weyl tail of the zeta estimator.
     """
 
-    stiffness: sp.csr_matrix
+    stiffness: np.ndarray
     weight: np.ndarray
     sigma: complex
     t: complex | None
@@ -69,17 +78,17 @@ class AssembledOperator:
 class SpectrumResult:
     """Eigenvalues of one discretization, with solver diagnostics.
 
-    ``eigenvalues`` is ascending and starts with the zero mode.
-    ``diagnostics`` is (zero_mode_residual, symmetry_residual): the zero
-    eigenvalue relative to the spectral gap, and the largest asymmetry of
-    the assembled stiffness (identically zero by construction).
+    ``eigenvalues`` is ascending and starts with the exact zero mode.
+    ``diagnostics`` is (residual, matvecs): the largest relative residual
+    |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs,
+    and the number of operator applications the solve took.
     """
 
     eigenvalues: np.ndarray
     grid_shape: tuple[int, int]
     sigma: complex
     t: complex | None
-    diagnostics: tuple[float, float]
+    diagnostics: tuple[float, int]
     area: float
     zeta0: float
     seed: int = 0
@@ -91,8 +100,8 @@ class SpectrumResult:
             "sigma": [self.sigma.real, self.sigma.imag],
             "t": None if self.t is None else [self.t.real, self.t.imag],
             "diagnostics": {
-                "zero_mode_residual": self.diagnostics[0],
-                "symmetry_residual": self.diagnostics[1],
+                "residual": self.diagnostics[0],
+                "matvecs": self.diagnostics[1],
             },
             "area": self.area,
             "zeta0": self.zeta0,
@@ -109,87 +118,58 @@ class SpectrumResult:
             grid_shape=tuple(d["grid_shape"]),
             sigma=complex(d["sigma"][0], d["sigma"][1]),
             t=None if t is None else complex(t[0], t[1]),
-            diagnostics=(
-                d["diagnostics"]["zero_mode_residual"],
-                d["diagnostics"]["symmetry_residual"],
-            ),
+            diagnostics=(d["diagnostics"]["residual"], d["diagnostics"]["matvecs"]),
             area=d["area"],
             zeta0=d["zeta0"],
             seed=d.get("seed", 0),
         )
 
 
-def _shift_plus(n: int) -> sp.csr_matrix:
-    return sp.diags([np.ones(n - 1), np.ones(1)], [1, -(n - 1)], format="csr")
-
-
-def _second_diff(n: int) -> sp.csr_matrix:
-    # periodic second difference, spacing 1/n
-    sp_ = _shift_plus(n)
-    return (sp_ + sp_.T - 2.0 * sp.identity(n, format="csr")) * float(n * n)
-
-
-def _central_diff(n: int) -> sp.csr_matrix:
-    sp_ = _shift_plus(n)
-    return (sp_ - sp_.T) * (0.5 * n)
-
-
-def _flat_stiffness(sigma: complex, n1: int, n2: int) -> sp.csr_matrix:
-    """Negative flat Laplacian on the sheared periodic grid.
+def _flat_symbol(sigma: complex, n1: int, n2: int) -> np.ndarray:
+    """Symbol of the negative flat Laplacian on the sheared periodic grid.
 
     In coordinates (p, q) with z = p + sigma q the flat metric has inverse
     g^pp = |sigma|^2 / (Im sigma)^2, g^qq = 1 / (Im sigma)^2,
     g^pq = -Re sigma / (Im sigma)^2, and
-    -Lap = -(g^pp d_pp + 2 g^pq d_pq + g^qq d_qq).
+    -Lap = -(g^pp d_pp + 2 g^pq d_pq + g^qq d_qq).  Periodic second
+    differences and products of central first differences have the symbol
+        4 g^pp n1^2 sin^2(th_j/2) + 4 g^qq n2^2 sin^2(th_k/2)
+        + 2 g^pq n1 n2 sin th_j sin th_k,
+    th_j = 2 pi j / n1, th_k = 2 pi k / n2, on the rfft2 half k <= n2 // 2.
     """
     y2 = sigma.imag * sigma.imag
     gpp = abs(sigma) ** 2 / y2
     gqq = 1.0 / y2
     gpq = -sigma.real / y2
-
-    d2p = _second_diff(n1)
-    d2q = _second_diff(n2)
-    stiff = -(gpp * sp.kron(d2p, sp.identity(n2), format="csr")
-              + gqq * sp.kron(sp.identity(n1), d2q, format="csr"))
-    if sigma.real != 0.0:
-        d1p = _central_diff(n1)
-        d1q = _central_diff(n2)
-        stiff = stiff - 2.0 * gpq * sp.kron(d1p, d1q, format="csr")
-    return stiff.tocsr()
+    th_j = 2.0 * math.pi * np.arange(n1) / n1
+    th_k = 2.0 * math.pi * np.arange(n2 // 2 + 1) / n2
+    return (4.0 * gpp * n1 * n1 * np.sin(th_j / 2.0)[:, None] ** 2
+            + 4.0 * gqq * n2 * n2 * np.sin(th_k / 2.0)[None, :] ** 2
+            + 2.0 * gpq * n1 * n2 * np.sin(th_j)[:, None] * np.sin(th_k)[None, :])
 
 
-def _grid_pair(grid_shape) -> tuple[int, int]:
-    if isinstance(grid_shape, int):
-        return grid_shape, grid_shape
-    n1, n2 = grid_shape
-    return int(n1), int(n2)
+def _fourier_multiply(symbol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply the periodic operator with the given half-spectrum symbol to a grid."""
+    return np.fft.irfft2(np.fft.rfft2(x) * symbol, s=x.shape)
 
 
 def assemble(sigma, t, grid_shape) -> AssembledOperator:
     """Discretize the cone-metric eigenproblem on an n1 x n2 periodic grid.
 
-    Returns the symmetric stiffness matrix of the flat Dirichlet form and
-    the diagonal weight of conformal-factor samples.  The weight entry
-    nearest the cone point is small but positive (half-cell grid offset);
-    it is deliberately kept, which realizes the Friedrichs extension.
+    Returns the symbol of the flat Dirichlet form's stiffness and the
+    diagonal weight of conformal-factor samples.  The weight entry nearest
+    the cone point is small but positive (half-cell grid offset); it is
+    deliberately kept, which realizes the Friedrichs extension.
     """
     s = as_sigma(sigma)
     tc = validate_t(t)
-    n1, n2 = _grid_pair(grid_shape)
-    if n1 < 32 or n2 < 32:
-        raise DomainError(f"grid {n1}x{n2} too coarse; need at least 32 points per side")
-
-    field = conformal_factor_on_torus(s, tc, (n1, n2))
-    stiff = _flat_stiffness(s, n1, n2)
-    asym = abs(stiff - stiff.T)
-    if asym.nnz and asym.max() > 0.0:
-        raise AssertionError("stiffness assembly lost symmetry")
+    field = conformal_factor_on_torus(s, tc, grid_shape)
     return AssembledOperator(
-        stiffness=stiff,
+        stiffness=_flat_symbol(s, *field.grid_shape),
         weight=field.values.reshape(-1).copy(),
         sigma=s,
         t=tc,
-        grid_shape=(n1, n2),
+        grid_shape=field.grid_shape,
         # curvature one and a single 4 pi cone: area 2 pi, and
         # zeta(0) = area/(12 pi) + (1/12)(2 pi/gamma - gamma/2 pi) - 1
         area=2.0 * math.pi,
@@ -205,13 +185,10 @@ def flat_operator(sigma, grid_shape, unit_area: bool = True) -> AssembledOperato
     spectrum is 4 pi^2 |m + n sigma|^2 / Im sigma over integer pairs.
     """
     s = as_sigma(sigma)
-    n1, n2 = _grid_pair(grid_shape)
-    if n1 < 32 or n2 < 32:
-        raise DomainError(f"grid {n1}x{n2} too coarse; need at least 32 points per side")
-    stiff = _flat_stiffness(s, n1, n2)
+    n1, n2 = grid_pair(grid_shape)
     w = np.full(n1 * n2, 1.0 / s.imag if unit_area else 1.0)
     return AssembledOperator(
-        stiffness=stiff, weight=w, sigma=s, t=None, grid_shape=(n1, n2),
+        stiffness=_flat_symbol(s, n1, n2), weight=w, sigma=s, t=None, grid_shape=(n1, n2),
         area=1.0 if unit_area else s.imag, zeta0=-1.0,
     )
 
@@ -219,50 +196,63 @@ def flat_operator(sigma, grid_shape, unit_area: bool = True) -> AssembledOperato
 def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> SpectrumResult:
     """First m eigenvalues (zero mode included) of K psi = lambda W psi.
 
-    Shift-invert Lanczos around a small negative shift; deterministic for a
-    fixed seed through the pinned starting vector.  Requires
-    10 <= m <= (number of grid points) / 10.
+    The constant vector spans the kernel of K, so lambda_0 = 0 exactly; the
+    others are reciprocals of the top eigenvalues of
+    B = K^(+1/2) (W - w w^T / sum w) K^(+1/2), found by Lanczos and
+    deterministic for a fixed seed through the pinned starting vector.  A
+    second Lanczos run supplies _CHECKED_PAIRS eigenvectors; their residual
+    with the solve's eigenvalues, measured with K and W, must stay below
+    1e-8.  Requires 10 <= m <= (number of grid points) / 10.
     """
-    n = op.stiffness.shape[0]
+    n1, n2 = op.grid_shape
+    n = n1 * n2
     if m < 10:
         raise DomainError("ask for at least 10 modes; fewer are not meaningful here")
     if m > n // 10:
-        raise DomainError(
-            f"m = {m} too large for a {op.grid_shape[0]}x{op.grid_shape[1]} grid; "
-            "need m <= grid points / 10"
-        )
-    w_mat = sp.diags(op.weight, format="csc")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    vals = spla.eigsh(
-        op.stiffness,
-        k=m,
-        M=w_mat,
-        sigma=-0.05,
-        which="LM",
-        mode="normal",
-        v0=v0,
-        return_eigenvectors=False,
-        tol=0.0,
-    )
-    vals = np.sort(np.real(vals))
-    if vals[1] <= 0.0:
-        raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda_1")
-    zero_res = abs(float(vals[0])) / float(vals[1])
-    if zero_res > 1.0e-8:
-        raise ConvergenceError(
-            f"zero mode not resolved: residual {zero_res:.3e} relative to the gap"
-        )
-    # the constant vector is an exact kernel vector of the stiffness; the
-    # reported lambda_0 is pure solver residue, clamped to keep the spectrum
-    # nonnegative (raw size kept in diagnostics)
-    vals[0] = 0.0
+        raise DomainError(f"m = {m} too large for a {n1}x{n2} grid; "
+                          "need m <= grid points / 10")
+    symbol = op.stiffness
+    nonzero = symbol.ravel()[1:]
+    if symbol[0, 0] != 0.0 or not np.all(nonzero > 0.0):
+        raise ConvergenceError("stiffness symbol must be 0 at frequency (0, 0), > 0 elsewhere")
+    inv_root = np.zeros_like(symbol)
+    inv_root.ravel()[1:] = 1.0 / np.sqrt(nonzero)
+    w = op.weight.reshape(n1, n2)
+    w_total = float(w.sum())
+    matvecs = 0
+
+    def apply_b(u):
+        nonlocal matvecs
+        matvecs += 1
+        x = _fourier_multiply(inv_root, u.reshape(n1, n2))
+        y = w * x
+        y -= w * (y.sum() / w_total)
+        return _fourier_multiply(inv_root, y).ravel()
+
+    b_op = LinearOperator((n, n), matvec=apply_b, dtype=np.float64)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    mu = eigsh(b_op, k=m - 1, which="LA", v0=v0, tol=0.0, return_eigenvectors=False)
+    if not np.all(mu > 0.0):
+        raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda")
+    lam = np.sort(1.0 / mu)
+
+    residual = 0.0
+    mu_check, vecs = eigsh(b_op, k=_CHECKED_PAIRS, which="LA", v0=v0, tol=0.0)
+    for mu_j, u in zip(mu_check, vecs.T):
+        psi = _fourier_multiply(inv_root, u.reshape(n1, n2))
+        psi -= (w * psi).sum() / w_total
+        lam_j = lam[np.argmin(np.abs(lam - 1.0 / mu_j))]
+        w_psi = lam_j * w * psi
+        residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
+                                       / np.linalg.norm(w_psi)))
+    if not residual <= 1.0e-8:
+        raise ConvergenceError(f"eigenpairs not resolved: relative residual {residual:.3e}")
     return SpectrumResult(
-        eigenvalues=vals,
+        eigenvalues=np.concatenate(([0.0], lam)),
         grid_shape=op.grid_shape,
         sigma=op.sigma,
         t=op.t,
-        diagnostics=(zero_res, 0.0),
+        diagnostics=(residual, matvecs),
         area=op.area,
         zeta0=op.zeta0,
         seed=seed,

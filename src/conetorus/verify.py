@@ -12,7 +12,7 @@ Suites:
   variational  the two b(-inf) routes, d/dt log det = (b(0) - b(-inf))/2,
                and det_prelim - det_value constancy
   curvature    pushforward of the round metric, Gauss curvature = 1
-  spectral     zero mode, Weyl slope, orbit isospectrality, grid area
+  spectral     solver residual, Weyl slope, orbit isospectrality, grid area
 """
 
 from __future__ import annotations

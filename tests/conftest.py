@@ -7,7 +7,7 @@ unit tests and the acceptance checks.
 
 import pytest
 
-from conetorus import assemble, lowest_eigenvalues, sigma_from_t
+from conetorus import assemble, lowest_eigenvalues, sigma_from_t, spectral
 
 
 def _spectrum(t, grid, modes):
@@ -23,3 +23,17 @@ def spec_t03_256():
 @pytest.fixture(scope="session")
 def spec_t07_256():
     return _spectrum(0.7 + 0.0j, 256, 60)
+
+
+@pytest.fixture
+def wrong_eigenvalues(monkeypatch):
+    """Eigenvalue-only eigsh calls return values off by 1e-6; calls with vectors stay exact."""
+    solve = spectral.eigsh
+
+    def wrong(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        if isinstance(out, tuple):
+            return out
+        return out * (1.0 + 1.0e-6)
+
+    monkeypatch.setattr(spectral, "eigsh", wrong)

@@ -76,6 +76,15 @@ def test_exit_code_2_on_domain_errors(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):
+    for argv in (["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10"],
+                 ["verify", "--suite", "spectral", "--grid", "64"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eigenpairs not resolved")
+
+
 def test_sigma_subcommand_reduces(capsys):
     code, out = run_cli(["sigma", "--sigma", "5.3+0.2i", "--format", "json"], capsys)
     assert code == 0

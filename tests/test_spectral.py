@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conetorus import (
     SpectrumResult,
@@ -28,6 +30,7 @@ from conetorus import (
     zeta_det_estimate,
 )
 from conetorus.errors import ConvergenceError, DomainError
+from conetorus.spectral import _fourier_multiply
 
 
 def cut_modes(spec, m_keep):
@@ -71,18 +74,107 @@ def test_sheared_stiffness_flat_spectrum():
     assert rel.max() <= 5e-3
 
 
+def _shift_plus(n):
+    return sp.diags([np.ones(n - 1), np.ones(1)], [1, -(n - 1)], format="csr")
+
+
+def sparse_stiffness(sigma, n1, n2):
+    """Oracle: the stencil assembled as a sparse matrix, grid index j * n2 + k.
+
+    Periodic second differences along p and q plus the cross term from the
+    product of central first differences, with the inverse-metric
+    coefficients of the sheared coordinates z = p + sigma q.
+    """
+    y2 = sigma.imag * sigma.imag
+    gpp, gqq, gpq = abs(sigma) ** 2 / y2, 1.0 / y2, -sigma.real / y2
+
+    def second_diff(n):
+        s = _shift_plus(n)
+        return (s + s.T - 2.0 * sp.identity(n, format="csr")) * float(n * n)
+
+    def central_diff(n):
+        s = _shift_plus(n)
+        return (s - s.T) * (0.5 * n)
+
+    return -(gpp * sp.kron(second_diff(n1), sp.identity(n2))
+             + gqq * sp.kron(sp.identity(n1), second_diff(n2))
+             + 2.0 * gpq * sp.kron(central_diff(n1), central_diff(n2))).tocsr()
+
+
+def sparse_lowest(op, m):
+    """Oracle: shift-invert Lanczos on the sparse stencil and the weight."""
+    n1, n2 = op.grid_shape
+    vals = spla.eigsh(
+        sparse_stiffness(op.sigma, n1, n2), k=m, M=sp.diags(op.weight, format="csc"),
+        sigma=-0.05, which="LM", v0=np.random.default_rng(0).standard_normal(n1 * n2),
+        return_eigenvectors=False, tol=0.0,
+    )
+    return np.sort(vals)
+
+
+def cross_term(sigma, n1, n2):
+    """The cross-derivative part of the stiffness symbol (half-spectrum)."""
+    th_j = 2.0 * math.pi * np.arange(n1) / n1
+    th_k = 2.0 * math.pi * np.arange(n2 // 2 + 1) / n2
+    gpq = -sigma.real / sigma.imag ** 2
+    return 2.0 * gpq * n1 * n2 * np.sin(th_j)[:, None] * np.sin(th_k)[None, :]
+
+
+T_ORACLE = 0.3 + 0.4j  # Re sigma != 0, so the cross term is present
+ORACLE_CASES = {
+    "curved": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, 64),
+    "flat": lambda: flat_operator(sigma_from_t(T_ORACLE), 64),
+    "curved_64x128": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (64, 128)),
+}
+
+
+def oracle_gap(op, m=16):
+    fft = lowest_eigenvalues(op, m, seed=0).eigenvalues[1:]
+    oracle = sparse_lowest(op, m)[1:]
+    return float(np.max(np.abs(fft - oracle) / oracle))
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_fft_solver_matches_sparse_oracle(case):
+    assert oracle_gap(ORACLE_CASES[case]()) <= 1e-10
+
+
+def test_sparse_oracle_rejects_symbol_without_cross_term():
+    op = ORACLE_CASES["curved"]()
+    assert abs(op.sigma.real) > 0.1
+    mutant = dataclasses.replace(op, stiffness=op.stiffness - cross_term(op.sigma, 64, 64))
+    assert oracle_gap(mutant) > 1e-3
+
+
 def test_assembled_operator_structure():
     t = 0.3 + 0.4j
-    op = assemble(sigma_from_t(t), t, 32)
-    n = 32 * 32
-    assert op.stiffness.shape == (n, n)
-    asym = op.stiffness - op.stiffness.T
-    assert asym.nnz == 0 or abs(asym).max() == 0.0
+    op = assemble(sigma_from_t(t), t, (32, 33))
+    assert op.stiffness.shape == (32, 17)
+    assert op.weight.shape == (32 * 33,)
     assert np.all(op.weight > 0.0)
+    # the operator K of the symbol is symmetric: <K x, y> = <x, K y>
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, 32, 33))
+    kx, ky = _fourier_multiply(op.stiffness, x), _fourier_multiply(op.stiffness, y)
+    assert abs(np.vdot(kx, y) - np.vdot(x, ky)) <= 1e-12 * np.linalg.norm(kx) * np.linalg.norm(y)
     # constant vector is an exact kernel vector
-    assert np.abs(op.stiffness @ np.ones(n)).max() <= 1e-10 * n
+    ones = np.ones((32, 33))
+    assert np.abs(_fourier_multiply(op.stiffness, ones)).max() <= 1e-10 * ones.size
     assert op.area == pytest.approx(2.0 * math.pi)
     assert op.zeta0 == pytest.approx(1.0 / 6.0 - 1.0 / 8.0 - 1.0)
+
+
+def test_wrong_eigenvalues_raise(wrong_eigenvalues):
+    with pytest.raises(ConvergenceError):
+        lowest_eigenvalues(flat_operator(0.5 + 1.0j, 32), 10)
+
+
+@pytest.mark.parametrize("entry, value", [((3, 2), 0.0), ((5, 0), -1.0), ((0, 0), 1.0)])
+def test_bad_symbol_raises(entry, value):
+    op = flat_operator(0.5 + 1.0j, 32)
+    op.stiffness[entry] = value
+    with pytest.raises(ConvergenceError):
+        lowest_eigenvalues(op, 10)
 
 
 def test_mode_count_guards():
@@ -99,6 +191,7 @@ def test_zero_mode_clamped_and_diagnosed():
     spec = lowest_eigenvalues(flat_operator(1j, 64), 12, seed=0)
     assert spec.eigenvalues[0] == 0.0
     assert spec.diagnostics[0] <= 1e-8
+    assert spec.diagnostics[1] > 0
     assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
 
