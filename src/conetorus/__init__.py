@@ -50,7 +50,6 @@ from .geometry import (
     conformal_factor_on_torus,
     conformal_map,
     conformal_map_prime,
-    covering_map_torus,
     gauss_curvature,
     load_field,
     metric_rho,
@@ -95,7 +94,6 @@ __all__ = [
     "conformal_factor_on_torus",
     "conformal_map",
     "conformal_map_prime",
-    "covering_map_torus",
     "dedekind_eta",
     "det_prelim",
     "det_value",

@@ -5,7 +5,8 @@ Complex flags use the "a+bi" syntax.  Reports go to stdout as text, json,
 or csv (--format); reruns are byte-identical (fixed seeds, floats printed
 with 15 significant digits).  Exit status: 0 on success and all checks
 passing, 1 when a verification suite fails, 2 on unparseable or
-out-of-domain input or when a numerical scheme does not converge.
+out-of-domain input, when a numerical scheme does not converge, or when a
+constructed object fails its consistency check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from . import __version__
 from .detformula import F, det_prelim, det_value, tau_bergman
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NormalizationError
 from .geometry import conformal_factor_on_torus, save_field
 from .moduli import g_orbit, sigma_from_t, t_from_sigma
 from .spectral import assemble, flat_operator, lowest_eigenvalues
@@ -248,21 +249,19 @@ def _cmd_spectrum(args) -> dict:
     }
 
 
-def _cmd_verify(args) -> tuple[dict, bool]:
+def _cmd_verify(args) -> dict:
     overrides = dict(args.tol)
     kwargs = {}
     if args.suite == "spectral":
         kwargs = {"grid": args.grid, "modes": args.modes}
     checks = run_suite(args.suite, overrides or None, **kwargs)
-    ok = all(c.passed for c in checks)
-    report = {
+    return {
         "inputs": {"suite": args.suite,
                    "tolerances": {c.name: c.tolerance for c in checks}},
         "outputs": {"checks": [c.line() for c in checks]},
         "residuals": {c.name: c.residual for c in checks},
-        "pass": ok,
+        "pass": all(c.passed for c in checks),
     }
-    return report, ok
 
 
 def _cmd_field_dump(args) -> dict:
@@ -275,6 +274,17 @@ def _cmd_field_dump(args) -> dict:
     }
 
 
+_COMMANDS = {
+    "det": _cmd_det,
+    "sigma": _cmd_sigma,
+    "orbit": _cmd_orbit,
+    "tau": _cmd_tau,
+    "spectrum": _cmd_spectrum,
+    "verify": _cmd_verify,
+    "field-dump": _cmd_field_dump,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -283,29 +293,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on parse errors and 0 on --help/--version
         return int(exc.code or 0)
 
-    ok = True
     try:
-        if args.command == "verify":
-            report, ok = _cmd_verify(args)
-        elif args.command == "det":
-            report = _cmd_det(args)
-        elif args.command == "sigma":
-            report = _cmd_sigma(args)
-        elif args.command == "orbit":
-            report = _cmd_orbit(args)
-        elif args.command == "tau":
-            report = _cmd_tau(args)
-        elif args.command == "spectrum":
-            report = _cmd_spectrum(args)
-        else:
-            report = _cmd_field_dump(args)
-    except (DomainError, ValueError, ConvergenceError) as exc:
+        report = {"command": args.command, **_COMMANDS[args.command](args)}
+    except (DomainError, ValueError, ConvergenceError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = {"command": args.command, **report}
     report.setdefault("residuals", {})
-    report.setdefault("pass", ok)
+    ok = report.setdefault("pass", True)
     out_path = getattr(args, "output", None)
     if out_path is not None and args.command != "field-dump":
         with open(out_path, "w", encoding="ascii") as fh:

@@ -27,10 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NormalizationError
-from .geometry import conformal_map, conformal_map_prime
+from .geometry import _rho_inverse, conformal_map, conformal_map_prime
 from .moduli import sigma_from_t, validate_t
 from .numdiff import log_aligned, wirtinger
 from .specialfn import as_sigma, dedekind_eta
@@ -122,48 +120,29 @@ def det_value(t) -> DetValue:
     return DetValue(flat_det(sigma).log_value + math.log(F(tc)))
 
 
-def _arg_continuation(w_func, waypoints, n_start: int = 32, n_cap: int = 1 << 15) -> float:
-    """Continuously accumulated argument of w_func along a polygonal path."""
-    total = cmath.phase(w_func(waypoints[0]))
-    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
-        n = n_start
-        while True:
-            ts = np.linspace(0.0, 1.0, n + 1)
-            pts = [z0 + (z1 - z0) * s for s in ts]
-            vals = [w_func(p) for p in pts]
-            if any(v == 0 for v in vals):
-                raise DomainError("continuation path passes through a branch point")
-            steps = [cmath.phase(b / a) for a, b in zip(vals[:-1], vals[1:])]
-            if all(abs(d) < math.pi / 2 for d in steps):
-                total += sum(steps)
-                break
-            n *= 2
-            if n > n_cap:
-                raise DomainError(
-                    "continuation path needs too fine a subdivision; it runs "
-                    "too close to a branch point"
-                )
-    return total
-
-
 def tau_bergman(t, via=None) -> complex:
     """Bergman tau function on the family, up to a constant factor.
 
     tau(t) = eta(sigma(t))^2 * (t (t-1))^(1/12), where the twelfth root is
-    continued along a path from the base point 1/4 + i/4 (straight by
-    default; ``via`` inserts intermediate waypoints).  Only |tau| enters the
-    determinant comparisons; the phase depends on the path class, and a
-    closed loop avoiding 0, 1 returns the same value.
+    continued along the polygonal path from the base point 1/4 + i/4 through
+    the ``via`` waypoints to t (straight by default).  The continuation is
+    exact: along a segment z0 -> z1 that misses a, arg(z - a) changes by
+    phase((z1 - a) / (z0 - a)), and arg z(z-1) is the sum over a in {0, 1}.
+    The only failure is a path through 0 or 1 (a segment with that ratio
+    real and <= 0, or a waypoint at 0 or 1), which raises DomainError.
+    Only |tau| enters the determinant comparisons; the phase depends on the
+    path class, and a closed loop avoiding 0, 1 returns the same value.
     """
     tc = validate_t(t)
     waypoints = [TAU_BASE_POINT, *(complex(v) for v in (via or ())), tc]
-
-    def w_poly(z: complex) -> complex:
-        return z * (z - 1.0)
-
-    phi = _arg_continuation(w_poly, waypoints)
-    w_end = w_poly(tc)
-    root12 = cmath.exp((math.log(abs(w_end)) + 1j * phi) / 12.0)
+    phi = cmath.phase(TAU_BASE_POINT * (TAU_BASE_POINT - 1.0))
+    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
+        for a in (0.0, 1.0):
+            ratio = (z1 - a) / (z0 - a)
+            if ratio.imag == 0.0 and ratio.real <= 0.0:
+                raise DomainError("continuation path passes through a branch point")
+            phi += cmath.phase(ratio)
+    root12 = cmath.exp((math.log(abs(tc * (tc - 1.0))) + 1j * phi) / 12.0)
     return dedekind_eta(sigma_from_t(tc)) ** 2 * root12
 
 
@@ -176,9 +155,8 @@ def det_prelim(t) -> DetValue:
     tc = validate_t(t)
     sigma = as_sigma(sigma_from_t(tc))
     tau = tau_bergman(tc)
-    r = cmath.sqrt(tc)
-    base = abs(tc) * abs(tc - 1.0) * (abs(r + 1.0) + abs(r - 1.0)) ** 2
-    log_val = math.log(sigma.imag) + 2.0 * math.log(abs(tau)) - math.log(base) / 8.0
+    log_val = (math.log(sigma.imag) + 2.0 * math.log(abs(tau))
+               - math.log(_rho_inverse(tc)) / 8.0)
     return DetValue(log_val)
 
 
@@ -255,13 +233,6 @@ def b_minus_inf_from_AB(t) -> complex:
     return data.A**2 * hat - data.B / data.A
 
 
-def _log_density_quarter(t: complex) -> float:
-    r = cmath.sqrt(t)
-    return 0.25 * math.log(
-        abs(t) * abs(t - 1.0) * (abs(r + 1.0) + abs(r - 1.0)) ** 2
-    )
-
-
 def b_minus_inf_closed(t) -> complex:
     """Closed form of b(-oo) as a Wirtinger t-derivative.
 
@@ -270,7 +241,7 @@ def b_minus_inf_closed(t) -> complex:
     central differences at steps 1e-4 and 1e-5.
     """
     tc = validate_t(t)
-    return wirtinger(_log_density_quarter, tc)
+    return wirtinger(lambda z: 0.25 * math.log(_rho_inverse(z)), tc)
 
 
 def schiffer_b0(t) -> complex:
@@ -292,7 +263,10 @@ def schiffer_b0(t) -> complex:
     tau_ref = tau_bergman(tc)
 
     def log_tau(z: complex) -> complex:
-        return log_aligned(tau_bergman(z), tau_ref)
+        # continue each stencil point from t, not from the base point: a
+        # stencil straddling a path through 0 or 1 would otherwise mix
+        # twelfth roots of unity into the difference quotient
+        return log_aligned(tau_bergman(z, via=(tc,)), tau_ref)
 
     def log_im_sigma(z: complex) -> float:
         return math.log(as_sigma(sigma_from_t(z)).imag)

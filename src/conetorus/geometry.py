@@ -19,6 +19,7 @@ sends the corners i, 0, 1 to 0, 1, oo, and pushes the round density
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ __all__ = [
     "round_sphere_density",
     "gauss_curvature",
     "TorusCovering",
-    "covering_map_torus",
     "ConformalField",
     "conformal_factor_on_torus",
     "save_field",
@@ -67,6 +67,16 @@ def conformal_map_prime(z):
     return complex(out) if out.ndim == 0 else out
 
 
+def _rho_inverse(w):
+    """|w| |w-1| (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 1 / rho(w), for a scalar or an array."""
+    # the finite-difference t-derivatives call this on Python scalars, where
+    # cmath and abs cost a fifth of numpy's scalar path; np.abs and abs can
+    # differ in the last bit, so metric_rho's arrays stay on numpy throughout
+    sqrt, mod = (np.sqrt, np.abs) if isinstance(w, np.ndarray) else (cmath.sqrt, abs)
+    r = sqrt(w)
+    return mod(w) * mod(w - 1.0) * (mod(r + 1.0) + mod(r - 1.0)) ** 2
+
+
 def metric_rho(w):
     """Density of the curvature-one metric on the w-sphere.
 
@@ -78,8 +88,7 @@ def metric_rho(w):
     w = np.asarray(w, dtype=np.complex128)
     if np.any(w == 0.0) or np.any(w == 1.0):
         raise DomainError("metric density is infinite at the conical points 0, 1")
-    r = np.sqrt(w)
-    out = 1.0 / (np.abs(w) * np.abs(w - 1.0) * (np.abs(r + 1.0) + np.abs(r - 1.0)) ** 2)
+    out = 1.0 / _rho_inverse(w)
     return float(out) if out.ndim == 0 else out
 
 
@@ -133,6 +142,11 @@ def _wp(z, sigma: complex, derivative: int = 0):
     return val, 2.0 * val * (d11 / t11 - d01 / t01)
 
 
+# largest distance between the requested t and the branch value recovered
+# from the chosen half-period labeling
+_MATCH_TOL = 1.0e-8
+
+
 class TorusCovering:
     """Degree-two covering of the w-sphere by the torus C / (Z + sigma Z).
 
@@ -147,7 +161,7 @@ class TorusCovering:
 
     _HALF_LABELS = ("1/2", "sigma/2", "(1+sigma)/2")
 
-    def __init__(self, sigma, t=None, match_tol: float = 1.0e-8):
+    def __init__(self, sigma, t=None):
         self.sigma = as_sigma(sigma)
         if t is None:
             t = t_from_sigma(self.sigma)
@@ -171,7 +185,7 @@ class TorusCovering:
                 if best is None or err < best[0]:
                     best = (err, ia, ib, ic, t_rec)
         err, ia, ib, ic, t_rec = best
-        if err > match_tol:
+        if err > _MATCH_TOL:
             raise NormalizationError(
                 f"no half-period labeling reproduces t = {self.t}; closest "
                 f"recovered value {t_rec} differs by {err:.3e} (is (sigma, t) "
@@ -213,18 +227,6 @@ class TorusCovering:
         eb = self._e_vals[self._ib]
         wp, wp_d = _wp(z, self.sigma, derivative=1)
         return (wp - ea) / (eb - ea), wp_d / (eb - ea)
-
-    def mu_prime(self, z):
-        return self.mu_and_prime(z)[1]
-
-
-def covering_map_torus(z, sigma, t=None):
-    """Covering map value at z for the torus of period ratio sigma.
-
-    Convenience wrapper; construct a TorusCovering directly when many
-    evaluations with the same sigma are needed.
-    """
-    return TorusCovering(sigma, t).mu(z)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BranchConventionWarning, DomainError, NormalizationError
-from .specialfn import PeriodRatio, _complete_K, as_sigma, theta
+from .specialfn import PeriodRatio, _complete_K, as_sigma, reduce_to_fundamental_domain, theta
 
 __all__ = [
     "GOrbit",
@@ -128,8 +128,6 @@ def t_from_sigma(sigma) -> complex:
 
 def unimodular_equivalent(s1, s2, tol: float = 1.0e-9) -> bool:
     """True when the two period ratios reduce to the same fundamental point."""
-    from .specialfn import reduce_to_fundamental_domain
-
     r1 = reduce_to_fundamental_domain(as_sigma(s1)).reduced[0]
     r2 = reduce_to_fundamental_domain(as_sigma(s2)).reduced[0]
     if abs(r1 - r2) <= tol:
@@ -140,8 +138,3 @@ def unimodular_equivalent(s1, s2, tol: float = 1.0e-9) -> bool:
         if abs(r1 - cand) <= tol:
             return True
     return False
-
-
-def _orbit_tag(t) -> complex:
-    """Canonical representative used when comparing moduli points."""
-    return g_orbit(t).canonical

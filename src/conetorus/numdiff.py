@@ -12,6 +12,10 @@ import math
 
 __all__ = ["wirtinger", "log_aligned", "laplacian5"]
 
+# Richardson pair of steps of the Wirtinger derivative
+_H_COARSE = 1.0e-4
+_H_FINE = 1.0e-5
+
 
 def _wirtinger_once(f, t: complex, h: float) -> complex:
     dx = (f(t + h) - f(t - h)) / (2.0 * h)
@@ -19,16 +23,16 @@ def _wirtinger_once(f, t: complex, h: float) -> complex:
     return 0.5 * (dx - 1j * dy)
 
 
-def wirtinger(f, t, h_coarse: float = 1.0e-4, h_fine: float = 1.0e-5) -> complex:
+def wirtinger(f, t) -> complex:
     """Wirtinger derivative of f at t by two-step Richardson extrapolation.
 
-    Central differences at steps h_coarse and h_fine are combined so the
+    Central differences at steps hc = 1e-4 and hf = 1e-5 are combined so the
     O(h^2) error cancels:  D = (hc^2 D_fine - hf^2 D_coarse) / (hc^2 - hf^2).
     """
     tc = complex(t)
-    d_coarse = _wirtinger_once(f, tc, h_coarse)
-    d_fine = _wirtinger_once(f, tc, h_fine)
-    w = h_coarse * h_coarse / (h_coarse * h_coarse - h_fine * h_fine)
+    d_coarse = _wirtinger_once(f, tc, _H_COARSE)
+    d_fine = _wirtinger_once(f, tc, _H_FINE)
+    w = _H_COARSE * _H_COARSE / (_H_COARSE * _H_COARSE - _H_FINE * _H_FINE)
     return w * d_fine + (1.0 - w) * d_coarse
 
 

@@ -42,6 +42,11 @@ _TAIL_EXPONENT = 42.0
 
 _FUND_TOL = 1.0e-12
 
+# caps of the theta truncation, the AGM and the fundamental-domain walk
+_THETA_MAX_TERMS = 100_000
+_AGM_MAX_ITER = 60
+_REDUCE_MAX_STEPS = 10_000
+
 
 @dataclass(frozen=True)
 class PeriodRatio:
@@ -83,7 +88,7 @@ def as_sigma(sigma) -> complex:
     return s
 
 
-def _theta_core(a: int, b: int, z, sigma: complex, derivative: int, max_terms: int):
+def _theta_core(a: int, b: int, z, sigma: complex, derivative: int):
     """Evaluate theta[a,b] (or its z-derivative) on an array of arguments.
 
     The argument is first reduced modulo the lattice Z + sigma Z, which keeps
@@ -103,9 +108,9 @@ def _theta_core(a: int, b: int, z, sigma: complex, derivative: int, max_terms: i
     # largest |Im z_red| / Im sigma after reduction is about 0.5
     v_ratio = np.max(np.abs(z_red.imag)) / y if z.size else 0.0
     n_max = int(math.ceil(v_ratio + math.sqrt(_TAIL_EXPONENT / (math.pi * y)) + 2.0))
-    if 2 * n_max + 1 > max_terms:
+    if 2 * n_max + 1 > _THETA_MAX_TERMS:
         raise ConvergenceError(
-            f"theta series needs {2 * n_max + 1} terms, above the cap {max_terms}; "
+            f"theta series needs {2 * n_max + 1} terms, above the cap {_THETA_MAX_TERMS}; "
             "Im sigma is too small"
         )
 
@@ -139,7 +144,7 @@ def _check_char(char) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def theta(char, z, sigma, derivative: int = 0, max_terms: int = 100_000):
+def theta(char, z, sigma, derivative: int = 0):
     """Jacobi theta function with half-integer characteristic.
 
     theta[a,b](z | sigma) = sum_n exp(i pi (n + a/2)^2 sigma
@@ -147,15 +152,15 @@ def theta(char, z, sigma, derivative: int = 0, max_terms: int = 100_000):
 
     ``char`` is the pair (a, b) with a, b in {0, 1}.  ``z`` may be a complex
     scalar or an array.  ``derivative=1`` returns the derivative in z.
-    Raises ConvergenceError when Im sigma is so small that the truncation
-    index would exceed ``max_terms``.
+    Raises ConvergenceError when Im sigma is so small that the truncated
+    series would need more than 100000 terms.
     """
     a, b = _check_char(char)
     if derivative not in (0, 1):
         raise DomainError("only derivative orders 0 and 1 are supported")
     s = as_sigma(sigma)
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    out = _theta_core(a, b, z, s, derivative, max_terms)
+    out = _theta_core(a, b, z, s, derivative)
     if scalar:
         return complex(out)
     return out
@@ -202,7 +207,7 @@ def dedekind_eta(sigma) -> complex:
     return factor * _eta_qproduct(cur)
 
 
-def _complete_K(m: complex, max_iter: int = 60) -> complex:
+def _complete_K(m: complex) -> complex:
     """AGM iteration for K(m) without the branch-cut guard.
 
     Signed zeros in the imaginary part of ``m`` select the side of the cut,
@@ -212,7 +217,7 @@ def _complete_K(m: complex, max_iter: int = 60) -> complex:
     # 1.0 - m would collapse an imaginary -0.0 to +0.0 and hop the sqrt cut;
     # negating the parts keeps the zero signs and with them the chosen side
     b = cmath.sqrt(complex(1.0 - m.real, -m.imag))
-    for _ in range(max_iter):
+    for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= 1e-17 * abs(a):
             return math.pi / (2.0 * a)
         a, b = (a + b) / 2.0, cmath.sqrt(a * b)
@@ -224,7 +229,7 @@ def _complete_K(m: complex, max_iter: int = 60) -> complex:
     raise ConvergenceError(f"AGM did not converge for m = {m}")
 
 
-def elliptic_K(k_squared, max_iter: int = 60) -> complex:
+def elliptic_K(k_squared) -> complex:
     """Complete elliptic integral K as a function of m = k^2.
 
     Computed by the arithmetic-geometric mean, K(m) = pi / (2 AGM(1, sqrt(1-m))),
@@ -236,10 +241,10 @@ def elliptic_K(k_squared, max_iter: int = 60) -> complex:
         raise DomainError("k^2 must be finite")
     if m.imag == 0.0 and m.real >= 1.0:
         raise BranchCutError(f"K is evaluated on its branch cut [1, oo) at m = {m}")
-    return _complete_K(m, max_iter=max_iter)
+    return _complete_K(m)
 
 
-def reduce_to_fundamental_domain(sigma, max_steps: int = 10_000) -> PeriodRatio:
+def reduce_to_fundamental_domain(sigma) -> PeriodRatio:
     """Reduce sigma under SL(2, Z) to |Re| <= 1/2, |sigma| >= 1.
 
     Returns a PeriodRatio whose ``reduced`` field holds the reduced point
@@ -250,7 +255,7 @@ def reduce_to_fundamental_domain(sigma, max_steps: int = 10_000) -> PeriodRatio:
     s0 = as_sigma(sigma)
     cur = s0
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(max_steps):
+    for _ in range(_REDUCE_MAX_STEPS):
         n = round(cur.real)
         if n != 0:
             cur -= n

@@ -51,6 +51,9 @@ __all__ = [
 # second Lanczos run this small, so the check's memory does not grow with m
 _CHECKED_PAIRS = 4
 
+# zeta_det_estimate averages over cutoffs in this top fraction of the modes
+_AVERAGE_WINDOW = 0.25
+
 
 @dataclass
 class AssembledOperator:
@@ -178,18 +181,18 @@ def assemble(sigma, t, grid_shape) -> AssembledOperator:
     )
 
 
-def flat_operator(sigma, grid_shape, unit_area: bool = True) -> AssembledOperator:
-    """Stiffness/weight pair of the flat torus, for calibration.
+def flat_operator(sigma, grid_shape) -> AssembledOperator:
+    """Stiffness/weight pair of the flat unit-area torus, for calibration.
 
-    With ``unit_area`` the constant weight is 1 / Im sigma, so the continuum
-    spectrum is 4 pi^2 |m + n sigma|^2 / Im sigma over integer pairs.
+    The constant weight is 1 / Im sigma, so the continuum spectrum is
+    4 pi^2 |m + n sigma|^2 / Im sigma over integer pairs.
     """
     s = as_sigma(sigma)
     n1, n2 = grid_pair(grid_shape)
-    w = np.full(n1 * n2, 1.0 / s.imag if unit_area else 1.0)
+    w = np.full(n1 * n2, 1.0 / s.imag)
     return AssembledOperator(
         stiffness=_flat_symbol(s, n1, n2), weight=w, sigma=s, t=None, grid_shape=(n1, n2),
-        area=1.0 if unit_area else s.imag, zeta0=-1.0,
+        area=1.0, zeta0=-1.0,
     )
 
 
@@ -315,8 +318,7 @@ def isospectral_orbit_check(t, generator, grid_shape, m: int, seed: int = 0) -> 
     return float(max(gaps))
 
 
-def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None,
-                      average_window: float = 0.25) -> DetValue:
+def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None) -> DetValue:
     """Coarse -zeta'(0) from the computed part of the spectrum.
 
     The zeta function is split at a cutoff into the exact sum over the
@@ -331,8 +333,8 @@ def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None
     (On a spectrum whose staircase follows the midpoint line exactly this
     is Stirling-exact up to O(1/M).)  Number-theoretic staircase
     oscillation is damped by averaging the estimate over cutoffs in the top
-    ``average_window`` fraction of the computed range.  No parameter is
-    fitted; nothing anchors the absolute scale beyond the heat invariants.
+    quarter of the computed range.  No parameter is fitted; nothing anchors
+    the absolute scale beyond the heat invariants.
 
     ``coarse``, a spectrum of the same problem at half the grid and the
     same mode count, switches on h^2 Richardson elimination of the
@@ -348,8 +350,8 @@ def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None
         if 2 * coarse.grid_shape[0] != spec.grid_shape[0] or \
                 2 * coarse.grid_shape[1] != spec.grid_shape[1]:
             raise DomainError("coarse spectrum must come from the half-resolution grid")
-        fine_val = zeta_det_estimate(spec, None, average_window).log_value
-        coarse_val = zeta_det_estimate(coarse, None, average_window).log_value
+        fine_val = zeta_det_estimate(spec).log_value
+        coarse_val = zeta_det_estimate(coarse).log_value
         return DetValue(log_value=(4.0 * fine_val - coarse_val) / 3.0,
                         up_to_constant=False)
     lam = spec.eigenvalues[1:]
@@ -365,7 +367,7 @@ def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None
             f"drift {drift:.1f} at mode {m}"
         )
     logs = np.cumsum(np.log(lam))
-    m_lo = max(10, int(math.ceil((1.0 - average_window) * m)))
+    m_lo = max(10, int(math.ceil((1.0 - _AVERAGE_WINDOW) * m)))
     ests = []
     for m_cut in range(m_lo, m + 1):
         cut = (m_cut - spec.zeta0) / slope

@@ -3,11 +3,21 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from conetorus import cli, sigma_from_t
 from conetorus.cli import main, parse_complex
 from conetorus.geometry import load_field
+
+# "$ <argv>" lines, each followed by the stdout of that command
+CORPUS = Path(__file__).with_name("cli_corpus.txt")
+# a residual at roundoff level: its last bits follow the order of the
+# arithmetic in the tau continuation, so it is compared by size
+ROUNDOFF_RESIDUAL = re.compile(r'(prelim_minus_value\W+?)([-+.e\d]+)')
 
 
 def run_cli(argv, capsys):
@@ -83,6 +93,40 @@ def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: eigenpairs not resolved")
+
+
+def test_exit_code_2_on_normalization_error(monkeypatch, tmp_path, capsys):
+    # a period ratio that belongs to another surface: the covering cannot
+    # reproduce t and raises NormalizationError
+    monkeypatch.setattr(cli, "sigma_from_t", lambda t: sigma_from_t(t + 0.1))
+    out_file = str(tmp_path / "field.txt")
+    for argv in (["spectrum", "--t", "0.3+0.4i", "--grid", "32", "--modes", "10"],
+                 ["field-dump", "--t", "0.3+0.4i", "--grid", "32", "--output", out_file]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no half-period labeling reproduces t")
+
+
+def _masked(text):
+    for match in ROUNDOFF_RESIDUAL.finditer(text):
+        assert abs(float(match.group(2))) <= 1e-15
+    return ROUNDOFF_RESIDUAL.sub(r"\1<roundoff>", text)
+
+
+def test_cli_corpus_matches_golden_output(capsys):
+    """det, tau, orbit and sigma at ten t, text and json, against stored stdout.
+
+    The stored output was produced by an earlier version of the package;
+    any change to it must be deliberate.
+    """
+    blocks = re.split(r"^\$ ", CORPUS.read_text(), flags=re.M)[1:]
+    assert len(blocks) == 80
+    for block in blocks:
+        command, _, want = block.partition("\n")
+        code, out = run_cli(shlex.split(command), capsys)
+        assert code == 0
+        assert _masked(out) == _masked(want), command
 
 
 def test_sigma_subcommand_reduces(capsys):

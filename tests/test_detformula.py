@@ -34,9 +34,9 @@ from conetorus import (
     tau_bergman,
     taylor_AB,
 )
-from conetorus.detformula import DetValue
+from conetorus.detformula import TAU_BASE_POINT, DetValue
 from conetorus.errors import DomainError
-from conetorus.numdiff import wirtinger
+from conetorus.numdiff import log_aligned, wirtinger
 
 F_SQUARE_TORUS = 0.7937005259840998
 DET_03 = -1.3169898899502732
@@ -200,10 +200,50 @@ def test_tau_path_independence_and_monodromy():
     assert abs(ratio - cmath.exp(1j * math.pi / 6.0)) <= 1e-10
 
 
+def near_branch_ray(a, offset, length=2.0):
+    """t beyond a on the ray from the tau base point through a, pushed
+    sideways by ``offset``; the straight path to t passes a closer still."""
+    d = (a - TAU_BASE_POINT) / abs(a - TAU_BASE_POINT)
+    return a + length * d + offset * 1j * d
+
+
+def test_variational_identity_next_to_branch_paths():
+    def log_det(z):
+        return det_value(z).log_value
+
+    for a in (0.0, 1.0):
+        for offset in (3e-5, 3e-6):
+            t = near_branch_ray(a, offset)
+            assert abs((det_prelim(t) - det_value(t))
+                       - (det_prelim(0.3 + 0.4j) - det_value(0.3 + 0.4j))) <= 1e-12
+            lhs = wirtinger(log_det, t)
+            b_inf = b_minus_inf_closed(t)
+            assert abs(lhs - 0.5 * (schiffer_b0(t) - b_inf)) <= 1e-6
+
+            # the Wirtinger stencil straddles the path: continued from the
+            # base point, its points pick up different twelfth roots of unity
+            tau_ref = tau_bergman(t)
+
+            def log_tau_straight(z):
+                return log_aligned(tau_bergman(z), tau_ref)
+
+            def log_im_sigma(z):
+                return math.log(sigma_from_t(z).sigma.imag)
+
+            b0_straight = 2.0 * wirtinger(log_tau_straight, t) + 2.0 * wirtinger(log_im_sigma, t)
+            assert abs(lhs - 0.5 * (b0_straight - b_inf)) > 1.0
+
+
 def test_det_domain_guards():
     for bad in (0.0, 1.0):
         with pytest.raises(DomainError):
             det_value(bad)
     with pytest.raises(DomainError):
         DetValue(log_value=float("nan"))
+    # the tau continuation fails only on a path through 0 or 1: the straight
+    # path from 1/4 + i/4 to -1/4 - i/4 runs through 0
+    with pytest.raises(DomainError):
+        tau_bergman(-0.25 - 0.25j)
+    with pytest.raises(DomainError):
+        tau_bergman(2.0 + 1.5j, via=(1.0,))
     assert (DetValue(2.0) - DetValue(0.5)) == 1.5
