@@ -5,7 +5,8 @@ sphere by a torus, and the pulled-back conformal factor on a grid.
 The base metric on the w-sphere is
 
     rho(w) |dw|^2,
-    rho(w) = 1 / ( |w| |w-1| ( |sqrt(w)+1| + |sqrt(w)-1| )^2 ),
+    rho(w) = 1 / ( |w| |w-1| ( |sqrt(w)+1| + |sqrt(w)-1| )^2 )
+           = 1 / ( 2 |w| |w-1| (1 + |w| + |w-1|) ),
 
 which has curvature one away from w in {0, 1, oo}, cone angle pi at each of
 0, 1, oo, and a 4*pi cone at w = t once pulled back through the covering.
@@ -15,6 +16,13 @@ The quarter-disk chart
 
 sends the corners i, 0, 1 to 0, 1, oo, and pushes the round density
 4 / (1 + |z|^2)^2 forward to rho exactly.
+
+The covering mu is an affine image of the Weierstrass function, so
+mu'^2 = C mu (mu - 1)(mu - t) and the pulled-back factor needs mu alone:
+
+    e^(2 phi) = rho(mu) |mu'|^2 = |C| |mu - t| / (2 (1 + |mu| + |mu - 1|)),
+
+which vanishes to order two at the cone and tends to |C| / 4 at the pole.
 """
 
 from __future__ import annotations
@@ -123,28 +131,25 @@ def gauss_curvature(w, h: float | None = None) -> float:
     return -lap / (2.0 * metric_rho(wc))
 
 
-def _wp(z, sigma: complex, derivative: int = 0):
+def _wp(z, sigma: complex):
     """Even degree-two elliptic function with a double pole at the origin.
 
-    wp(z) = (theta[1,1] / theta[0,1])^2 evaluated at z + sigma/2.  This is an
-    affine image of the Weierstrass elliptic function of the lattice
-    Z + sigma Z, so the normalized covering built from it is identical to
-    the classical (wp - e_a) / (e_b - e_a) family.
+    wp(z) = (theta[1,1] / theta[0,1])^2 evaluated at z + sigma/2: two value
+    series per point.  This is an affine image of the Weierstrass elliptic
+    function of the lattice Z + sigma Z, so the normalized covering built
+    from it is identical to the classical (wp - e_a) / (e_b - e_a) family.
     """
     zz = np.asarray(z, dtype=np.complex128) + sigma / 2.0
-    t11 = theta((1, 1), zz, sigma)
-    t01 = theta((0, 1), zz, sigma)
-    val = (t11 / t01) ** 2
-    if derivative == 0:
-        return val
-    d11 = theta((1, 1), zz, sigma, derivative=1)
-    d01 = theta((0, 1), zz, sigma, derivative=1)
-    return val, 2.0 * val * (d11 / t11 - d01 / t01)
+    return (theta((1, 1), zz, sigma) / theta((0, 1), zz, sigma)) ** 2
 
 
 # largest distance between the requested t and the branch value recovered
 # from the chosen half-period labeling
 _MATCH_TOL = 1.0e-8
+
+# characteristic of the even theta that vanishes at the half periods
+# 1/2, sigma/2, (1+sigma)/2, in the order of TorusCovering._half_periods
+_NULL_CHARS = ((1, 0), (0, 1), (0, 0))
 
 
 class TorusCovering:
@@ -221,13 +226,6 @@ class TorusCovering:
         eb = self._e_vals[self._ib]
         return (_wp(z, self.sigma) - ea) / (eb - ea)
 
-    def mu_and_prime(self, z):
-        """Covering map and its z-derivative together."""
-        ea = self._e_vals[self._ia]
-        eb = self._e_vals[self._ib]
-        wp, wp_d = _wp(z, self.sigma, derivative=1)
-        return (wp - ea) / (eb - ea), wp_d / (eb - ea)
-
 
 @dataclass
 class ConformalField:
@@ -260,25 +258,18 @@ def _grid_points(sigma: complex, n1: int, n2: int) -> np.ndarray:
 
 
 def _e2phi_from_cover(cov: TorusCovering, z: np.ndarray) -> np.ndarray:
-    """Pullback density rho(mu) |mu'|^2 with a stabilized form off to the pole.
+    """Pullback density rho(mu) |mu'|^2 from the covering's algebraic equation.
 
-    Near the preimage of w = oo both rho and |mu'|^2 blow up; the product is
-    smooth.  For |mu| above a cutoff the cube of |mu| is cancelled
-    analytically:  rho(w) |w|^3 = 1 / ( |1 - 1/w| (|1 + r| + |1 - r|)^2 )
-    with r = 1/sqrt(w), so e^(2 phi) = (rho |mu|^3) |mu'|^2 / |mu|^3.
+    mu'^2 = C mu (mu - 1)(mu - t) with C = 4 (e_b - e_a), the Weierstrass
+    values over 1 and 0, and |e_b - e_a| = pi^2 |theta_chi(0)|^4 for the
+    even theta_chi vanishing at the cone point.  The branch value is the
+    covering's recovered one, where mu' has its zero.  With
+    (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 2 (1 + |w| + |w-1|) the factors |mu|
+    and |mu - 1| cancel, which leaves no square root and no pole.
     """
-    mu, mu_p = cov.mu_and_prime(z)
-    out = np.empty(z.shape, dtype=np.float64)
-    big = np.abs(mu) > 1.0e3
-
-    w = mu[~big]
-    out[~big] = metric_rho(w) * np.abs(mu_p[~big]) ** 2
-
-    wb = mu[big]
-    r = 1.0 / np.sqrt(wb)
-    stab = 1.0 / (np.abs(1.0 - 1.0 / wb) * (np.abs(1.0 + r) + np.abs(1.0 - r)) ** 2)
-    out[big] = stab * np.abs(mu_p[big]) ** 2 / np.abs(wb) ** 3
-    return out
+    c_abs = 4.0 * math.pi**2 * abs(theta(_NULL_CHARS[cov._ic], 0.0, cov.sigma)) ** 4
+    mu = cov.mu(z)
+    return c_abs * np.abs(mu - cov.recovered_t) / (2.0 * (1.0 + np.abs(mu) + np.abs(mu - 1.0)))
 
 
 def grid_pair(grid_shape) -> tuple[int, int]:
@@ -310,22 +301,19 @@ def conformal_factor_on_torus(sigma, t, grid_shape) -> ConformalField:
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         raise NormalizationError("conformal factor must be finite and nonnegative")
 
+    # locate the cone in (p, q) coordinates; both lie in [0, 1)
     cone = cov.cone_point
-    singular = []
-    for point, order in ((cone, 2),):
-        # locate in (p, q) coordinates; both lie in [0, 1)
-        q_coord = point.imag / s.imag
-        p_coord = point.real - q_coord * s.real
-        j = int(np.clip(round(p_coord * n1 - 0.5), 0, n1 - 1))
-        k = int(np.clip(round(q_coord * n2 - 0.5), 0, n2 - 1))
-        singular.append(((j, k), order))
+    q_coord = cone.imag / s.imag
+    p_coord = cone.real - q_coord * s.real
+    j = int(np.clip(round(p_coord * n1 - 0.5), 0, n1 - 1))
+    k = int(np.clip(round(q_coord * n2 - 0.5), 0, n2 - 1))
 
     return ConformalField(
         sigma=s,
         t=tc,
         grid_shape=(n1, n2),
         values=vals,
-        singular_points=tuple(singular),
+        singular_points=(((j, k), 2),),
         labeling=cov.labeling,
     )
 

@@ -88,8 +88,8 @@ def as_sigma(sigma) -> complex:
     return s
 
 
-def _theta_core(a: int, b: int, z, sigma: complex, derivative: int):
-    """Evaluate theta[a,b] (or its z-derivative) on an array of arguments.
+def _theta_core(a: int, b: int, z, sigma: complex):
+    """Evaluate theta[a,b] on an array of arguments.
 
     The argument is first reduced modulo the lattice Z + sigma Z, which keeps
     the series short and the terms bounded; the quasi-periodicity factor
@@ -117,21 +117,14 @@ def _theta_core(a: int, b: int, z, sigma: complex, derivative: int):
     ns = np.arange(-n_max, n_max + 1, dtype=np.float64) + 0.5 * a
     zz = z_red.reshape(z_red.shape + (1,))
     expo = (1j * math.pi * sigma) * ns**2 + (2j * math.pi) * ns * (zz + 0.5 * b)
-    terms = np.exp(expo)
-    series = terms.sum(axis=-1)
-    if derivative:
-        series_d = ((2j * math.pi) * ns * terms).sum(axis=-1)
+    series = np.exp(expo).sum(axis=-1)
 
     phase = np.exp(
         1j * math.pi * (a * m_sh - b * n_sh)
         - 1j * math.pi * n_sh**2 * sigma
         - 2j * math.pi * n_sh * z_red
     )
-    if derivative:
-        out = phase * (series_d - 2j * math.pi * n_sh * series)
-    else:
-        out = phase * series
-    return out
+    return phase * series
 
 
 def _check_char(char) -> tuple[int, int]:
@@ -144,23 +137,22 @@ def _check_char(char) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def theta(char, z, sigma, derivative: int = 0):
+def theta(char, z, sigma):
     """Jacobi theta function with half-integer characteristic.
 
     theta[a,b](z | sigma) = sum_n exp(i pi (n + a/2)^2 sigma
                                       + 2 pi i (n + a/2)(z + b/2)).
 
     ``char`` is the pair (a, b) with a, b in {0, 1}.  ``z`` may be a complex
-    scalar or an array.  ``derivative=1`` returns the derivative in z.
-    Raises ConvergenceError when Im sigma is so small that the truncated
-    series would need more than 100000 terms.
+    scalar or an array.  Only values are computed: the package's one
+    z-derivative, that of the covering, follows from its algebraic equation
+    (see ``geometry``).  Raises ConvergenceError when Im sigma is so small
+    that the truncated series would need more than 100000 terms.
     """
     a, b = _check_char(char)
-    if derivative not in (0, 1):
-        raise DomainError("only derivative orders 0 and 1 are supported")
     s = as_sigma(sigma)
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    out = _theta_core(a, b, z, s, derivative)
+    out = _theta_core(a, b, z, s)
     if scalar:
         return complex(out)
     return out

@@ -3,12 +3,15 @@ conformal factor.
 
 The pushforward identity rho(w(z)) |w'(z)|^2 = 4 / (1 + |z|^2)^2 is exact
 and pins the metric normalization; curvature one and the 2 pi area are the
-derived checks downstream of it.
+derived checks downstream of it.  The sampled conformal factor is checked
+against rho(mu) |mu'|^2 with mu' from the theta series at 50 digits.
 """
 
 import cmath
 import math
+from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from conetorus import (
     conformal_factor_on_torus,
     conformal_map,
     conformal_map_prime,
+    g_orbit,
     gauss_curvature,
     load_field,
     metric_rho,
@@ -25,7 +29,9 @@ from conetorus import (
     save_field,
     sigma_from_t,
 )
+from conetorus import geometry
 from conetorus.errors import DomainError, NormalizationError
+from conetorus.geometry import _e2phi_from_cover, _grid_points
 from conetorus.numdiff import laplacian5
 
 
@@ -175,10 +181,92 @@ def test_cone_slope_of_conformal_factor():
     radii = np.geomspace(1e-3, 1e-2, 8)
     for theta in rng.uniform(0.0, 2.0 * math.pi, 5):
         zs = z0 + radii * np.exp(1j * theta)
-        mu, mu_p = cov.mu_and_prime(zs)
-        vals = metric_rho(mu) * np.abs(mu_p) ** 2
+        vals = _e2phi_from_cover(cov, zs)
         slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
         assert abs(slope - 2.0) <= 0.04
+
+
+def _mp_theta_and_prime(a, b, z, sigma):
+    """theta[a,b](z | sigma) and its z-derivative by direct summation."""
+    # Im z reaches 1.5 Im sigma on the grid, which moves the largest term
+    # to n = -1 or -2; the margin leaves the tail below 1e-80
+    val = der = mpmath.mpc(0)
+    n_max = int(mpmath.sqrt(60 / sigma.imag)) + 4
+    for n in range(-n_max, n_max + 1):
+        h = n + mpmath.mpf(a) / 2
+        term = mpmath.exp(1j * mpmath.pi * (h * h * sigma + 2 * h * (z + mpmath.mpf(b) / 2)))
+        val += term
+        der += 2j * mpmath.pi * h * term
+    return val, der
+
+
+def _mp_wp_and_prime(z, sigma):
+    t11, d11 = _mp_theta_and_prime(1, 1, z + sigma / 2, sigma)
+    t01, d01 = _mp_theta_and_prime(0, 1, z + sigma / 2, sigma)
+    return (t11 / t01) ** 2, 2 * t11 * (d11 * t01 - t11 * d01) / t01**3
+
+
+def _mp_conformal_factor(sigma, t, zs):
+    """rho(mu) |mu'|^2 at 50 digits, with mu' from the theta series.
+
+    The half periods over 0, 1 and t are labelled afresh: the labeling
+    whose branch value lies closest to t.
+    """
+    with mpmath.workdps(50):
+        s = mpmath.mpc(sigma)
+        e = [_mp_wp_and_prime(h, s)[0] for h in (mpmath.mpf(1) / 2, s / 2, (1 + s) / 2)]
+        ea, eb, _ = min(permutations(e), key=lambda p: abs((p[2] - p[0]) / (p[1] - p[0]) - t))
+        out = []
+        for z in zs:
+            wp, wp_d = _mp_wp_and_prime(mpmath.mpc(z), s)
+            mu, mu_d = (wp - ea) / (eb - ea), wp_d / (eb - ea)
+            r = mpmath.sqrt(mu)
+            rho = 1 / (abs(mu) * abs(mu - 1) * (abs(r + 1) + abs(r - 1)) ** 2)
+            out.append(float(rho * abs(mu_d) ** 2))
+    return np.array(out)
+
+
+def _oracle_gap(sigma, t, n=256):
+    """Largest relative error of the sampled factor against the oracle.
+
+    Cells: next to the cone, next to the pole, where |mu| is closest to
+    1e3, and a generic one.
+    """
+    field = conformal_factor_on_torus(sigma, t, n)
+    z = _grid_points(sigma, n, n)
+    mu = np.abs(TorusCovering(sigma, t).mu(z))
+    cells = [
+        field.singular_points[0][0],
+        (0, 0),
+        np.unravel_index(np.argmin(np.abs(mu - 1.0e3)), mu.shape),
+        (n // 3, n // 6),
+    ]
+    got = np.array([field.values[c] for c in cells])
+    ref = _mp_conformal_factor(sigma, t, [z[c] for c in cells])
+    return float(np.max(np.abs(got - ref) / ref))
+
+
+def _cone_on_each_half_period(t):
+    """sigma(t) with one orbit member of t per half period carrying the cone."""
+    sigma = sigma_from_t(t).sigma
+    by_cone = {TorusCovering(sigma, m).cone_point: m for m in g_orbit(t).members}
+    assert len(by_cone) == 3
+    return sigma, list(by_cone.values())
+
+
+def test_conformal_factor_matches_mpmath_oracle():
+    cases = [(sigma_from_t(t).sigma, t) for t in (0.3 + 0.25j, 0.999 - 0.01j, 30.0 - 20.0j, 0.02)]
+    sigma, members = _cone_on_each_half_period(0.3 + 0.25j)
+    cases += [(sigma, m) for m in members]
+    for sigma, t in cases:
+        assert _oracle_gap(sigma, t) <= 1e-9, (sigma, t)
+
+
+def test_conformal_factor_oracle_rejects_theta00_constant(monkeypatch):
+    # |C| = 4 pi^2 |theta[0,0](0)|^4 whatever half period carries the cone
+    monkeypatch.setattr(geometry, "_NULL_CHARS", ((0, 0),) * 3)
+    sigma, members = _cone_on_each_half_period(0.3 + 0.25j)
+    assert max(_oracle_gap(sigma, m) for m in members) > 1e-2
 
 
 def test_area_converges_to_2pi():

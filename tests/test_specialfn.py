@@ -33,15 +33,12 @@ ETA_AT_I = 0.7682254223260566
 K_AT_HALF = 1.8540746773013719
 
 
-def brute_theta(a, b, z, sigma, derivative=0, n_max=200):
+def brute_theta(a, b, z, sigma, n_max=200):
     # direct summation, no argument reduction: the independent oracle
     total = 0.0 + 0j
     for n in range(-n_max, n_max + 1):
         h = n + 0.5 * a
-        term = cmath.exp(1j * math.pi * h * h * sigma + 2j * math.pi * h * (z + 0.5 * b))
-        if derivative:
-            term *= 2j * math.pi * h
-        total += term
+        total += cmath.exp(1j * math.pi * h * h * sigma + 2j * math.pi * h * (z + 0.5 * b))
     return total
 
 
@@ -103,17 +100,6 @@ def test_theta_matches_direct_series():
             assert abs(got - ref) <= 1e-12 * scale
 
 
-def test_theta_derivative_matches_direct_series():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        sigma = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 1.5))
-        z = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        for char in ((0, 0), (1, 1)):
-            ref = brute_theta(*char, z, sigma, derivative=1)
-            got = theta(char, z, sigma, derivative=1)
-            assert abs(got - ref) <= 1e-11 * max(abs(ref), 1.0)
-
-
 def test_theta_quasi_periodicity():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -137,13 +123,13 @@ def test_theta_accepts_arrays():
         assert abs(vi - theta((0, 1), complex(zi), 0.2 + 0.9j)) <= 1e-13 * abs(vi)
 
 
-def test_theta_prime_null_is_eta_cubed():
-    # theta'[1,1](0) = -2 pi eta^3
+def test_theta_null_product_is_eta_cubed():
+    # theta[0,0] theta[0,1] theta[1,0] (0) = 2 eta^3
     rng = np.random.default_rng(10)
     for _ in range(10):
         sigma = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.4, 2.0))
-        lhs = theta((1, 1), 0.0, sigma, derivative=1)
-        rhs = -2.0 * math.pi * dedekind_eta(sigma) ** 3
+        lhs = theta((0, 0), 0.0, sigma) * theta((0, 1), 0.0, sigma) * theta((1, 0), 0.0, sigma)
+        rhs = 2.0 * dedekind_eta(sigma) ** 3
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -221,8 +207,6 @@ def test_domain_guards():
         theta((0, 0), float("nan"), 1j)
     with pytest.raises(DomainError):
         theta((2, 0), 0.0, 1j)
-    with pytest.raises(DomainError):
-        theta((0, 0), 0.0, 1j, derivative=2)
     with pytest.raises(DomainError):
         PeriodRatio(sigma=1.0 - 1j)
 
