@@ -14,11 +14,11 @@ meaning.
 
 Two independent consistency routes are provided.  The first expresses the
 determinant through the Bergman tau function, tau = eta(sigma)^2 times a
-twelfth root of t (t - 1) continued from a fixed base point.  The second is
-the variational identity d/dt log det = (b(0) - b(-oo)) / 2, where the two
-coefficients come from the cone point's local geometry: b(-oo) from the
-Taylor data of the quarter-disk chart at the preimage of t, and b(0) from
-derivatives of tau and Im sigma.
+twelfth root of t (t - 1) continued straight from a fixed base point.  The
+second is the variational identity d/dt log det = (b(0) - b(-oo)) / 2; of
+its coefficients, b(-oo) comes from the Taylor data of the quarter-disk
+chart at the preimage of t or in closed form, and b(0) from derivatives of
+tau and Im sigma.
 """
 
 from __future__ import annotations
@@ -120,28 +120,23 @@ def det_value(t) -> DetValue:
     return DetValue(flat_det(sigma).log_value + math.log(F(tc)))
 
 
-def tau_bergman(t, via=None) -> complex:
+def tau_bergman(t) -> complex:
     """Bergman tau function on the family, up to a constant factor.
 
     tau(t) = eta(sigma(t))^2 * (t (t-1))^(1/12), where the twelfth root is
-    continued along the polygonal path from the base point 1/4 + i/4 through
-    the ``via`` waypoints to t (straight by default).  The continuation is
-    exact: along a segment z0 -> z1 that misses a, arg(z - a) changes by
-    phase((z1 - a) / (z0 - a)), and arg z(z-1) is the sum over a in {0, 1}.
-    The only failure is a path through 0 or 1 (a segment with that ratio
-    real and <= 0, or a waypoint at 0 or 1), which raises DomainError.
-    Only |tau| enters the determinant comparisons; the phase depends on the
-    path class, and a closed loop avoiding 0, 1 returns the same value.
+    continued exactly along the straight path from the base point
+    b = 1/4 + i/4: arg(z - a) changes by phase((t - a) / (b - a)) for a in
+    {0, 1}, and a path through 0 or 1 raises DomainError.  Across the rays
+    from b through 0 and through 1 the phase jumps by a twelfth root of
+    unity; only |tau| enters the determinant comparisons.
     """
     tc = validate_t(t)
-    waypoints = [TAU_BASE_POINT, *(complex(v) for v in (via or ())), tc]
     phi = cmath.phase(TAU_BASE_POINT * (TAU_BASE_POINT - 1.0))
-    for z0, z1 in zip(waypoints[:-1], waypoints[1:]):
-        for a in (0.0, 1.0):
-            ratio = (z1 - a) / (z0 - a)
-            if ratio.imag == 0.0 and ratio.real <= 0.0:
-                raise DomainError("continuation path passes through a branch point")
-            phi += cmath.phase(ratio)
+    for a in (0.0, 1.0):
+        ratio = (tc - a) / (TAU_BASE_POINT - a)
+        if ratio.imag == 0.0 and ratio.real <= 0.0:
+            raise DomainError("continuation path passes through a branch point")
+        phi += cmath.phase(ratio)
     root12 = cmath.exp((math.log(abs(tc * (tc - 1.0))) + 1j * phi) / 12.0)
     return dedekind_eta(sigma_from_t(tc)) ** 2 * root12
 
@@ -234,14 +229,17 @@ def b_minus_inf_from_AB(t) -> complex:
 
 
 def b_minus_inf_closed(t) -> complex:
-    """Closed form of b(-oo) as a Wirtinger t-derivative.
+    """Closed form of b(-oo) as an exact Wirtinger t-derivative.
 
-    b(-oo) = d/dt log( |t| |t-1| (|sqrt(t)+1| + |sqrt(t)-1|)^2 )^(1/4),
-    which is d/dt of -(1/4) log rho at w = t.  Evaluated by Richardson
-    central differences at steps 1e-4 and 1e-5.
+    b(-oo) = d/dt (1/4) log( 2 |t| |t-1| (1 + |t| + |t-1|) ), which is
+    d/dt of -(1/4) log rho at w = t.  With d|t|/dt = |t| / (2 t) this is
+
+        (1/8) [ 1/t + 1/(t-1) + (|t|/t + |t-1|/(t-1)) / (1 + |t| + |t-1|) ].
     """
     tc = validate_t(t)
-    return wirtinger(lambda z: 0.25 * math.log(_rho_inverse(z)), tc)
+    at, at1 = abs(tc), abs(tc - 1.0)
+    return 0.125 * (1.0 / tc + 1.0 / (tc - 1.0)
+                    + (at / tc + at1 / (tc - 1.0)) / (1.0 + at + at1))
 
 
 def schiffer_b0(t) -> complex:
@@ -251,24 +249,22 @@ def schiffer_b0(t) -> complex:
     Bergman tau derivative carries the Bergman projective connection and
     the Im sigma derivative removes the abelian-differential square between
     the two, leaving -(1/6) of the Schiffer evaluation at the cone point.
-    Both derivatives use the same Wirtinger finite-difference scheme as
-    b_minus_inf_closed.  The stencil steps into both half planes, so t must
-    stay off the real axis by more than the coarse step.
+    With tau = eta(sigma)^2 (t (t-1))^(1/12) the root's part is exact,
+    (1/t + 1/(t-1)) / 6, and only 2 log eta(sigma) + log Im sigma is
+    differenced (log eta stays complex, so the Cauchy-Riemann equations of
+    eta o sigma are tested too).  The stencil steps into both half planes
+    and sigma jumps across the real cuts, so t must stay off the real axis
+    by more than the coarse step.
     """
     tc = validate_t(t)
     if abs(tc.imag) <= 2.0e-4:
         raise DomainError(
             "b(0) differencing crosses the real-axis branch locus; need |Im t| > 2e-4"
         )
-    tau_ref = tau_bergman(tc)
+    eta_ref = dedekind_eta(sigma_from_t(tc))
 
-    def log_tau(z: complex) -> complex:
-        # continue each stencil point from t, not from the base point: a
-        # stencil straddling a path through 0 or 1 would otherwise mix
-        # twelfth roots of unity into the difference quotient
-        return log_aligned(tau_bergman(z, via=(tc,)), tau_ref)
+    def log_eta2_im_sigma(z: complex) -> complex:
+        sigma = as_sigma(sigma_from_t(z))
+        return 2.0 * log_aligned(dedekind_eta(sigma), eta_ref) + math.log(sigma.imag)
 
-    def log_im_sigma(z: complex) -> float:
-        return math.log(as_sigma(sigma_from_t(z)).imag)
-
-    return 2.0 * wirtinger(log_tau, tc) + 2.0 * wirtinger(log_im_sigma, tc)
+    return 2.0 * wirtinger(log_eta2_im_sigma, tc) + (1.0 / tc + 1.0 / (tc - 1.0)) / 6.0

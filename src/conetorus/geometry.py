@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .moduli import t_from_sigma, validate_t
+from .moduli import validate_t
 from .numdiff import laplacian5
 from .specialfn import as_sigma, theta
 
@@ -77,9 +77,9 @@ def conformal_map_prime(z):
 
 def _rho_inverse(w):
     """|w| |w-1| (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 1 / rho(w), for a scalar or an array."""
-    # the finite-difference t-derivatives call this on Python scalars, where
-    # cmath and abs cost a fifth of numpy's scalar path; np.abs and abs can
-    # differ in the last bit, so metric_rho's arrays stay on numpy throughout
+    # det_prelim calls this on Python scalars, where cmath and abs cost a
+    # fifth of numpy's scalar path; np.abs and abs can differ in the last
+    # bit, so metric_rho's arrays stay on numpy throughout
     sqrt, mod = (np.sqrt, np.abs) if isinstance(w, np.ndarray) else (cmath.sqrt, abs)
     r = sqrt(w)
     return mod(w) * mod(w - 1.0) * (mod(r + 1.0) + mod(r - 1.0)) ** 2
@@ -166,10 +166,8 @@ class TorusCovering:
 
     _HALF_LABELS = ("1/2", "sigma/2", "(1+sigma)/2")
 
-    def __init__(self, sigma, t=None):
+    def __init__(self, sigma, t):
         self.sigma = as_sigma(sigma)
-        if t is None:
-            t = t_from_sigma(self.sigma)
         self.t = validate_t(t)
 
         s = self.sigma

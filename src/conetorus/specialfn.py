@@ -161,6 +161,9 @@ def theta(char, z, sigma):
 def _eta_qproduct(sigma: complex) -> complex:
     """Direct q-product for eta; intended for Im sigma >= 1/2."""
     q = cmath.exp(2j * math.pi * sigma)
+    if q == 0:
+        # every factor (1 - q^n) rounds to one
+        return cmath.exp(1j * math.pi * sigma / 12.0)
     absq = abs(q)
     # tail of log prod (1 - q^n) is below |q|^(N+1) / (1 - |q|)^2
     n_terms = int(math.ceil(math.log(1e-17 * (1.0 - absq) ** 2) / math.log(absq)))
@@ -172,30 +175,41 @@ def _eta_qproduct(sigma: complex) -> complex:
     return cmath.exp(1j * math.pi * sigma / 12.0) * prod
 
 
-def dedekind_eta(sigma) -> complex:
-    """Dedekind eta, eta(sigma) = q^(1/24) prod (1 - q^n) with q = e^(2 pi i sigma).
+def _walk_to_fundamental_domain(sigma: complex, tol: float):
+    """Translate by integers and invert until |sigma| >= 1 - tol.
 
-    For small Im sigma the argument is first walked into the fundamental
-    domain; the multiplier is accumulated from the two generating laws
-    eta(sigma + 1) = e^(i pi / 12) eta(sigma) and
-    eta(-1/sigma) = sqrt(-i sigma) eta(sigma), so the accuracy is uniform
-    in Im sigma.
+    Returns the point reached, the matrix (a, b, c, d) that maps sigma to
+    it, and f with eta(sigma) = f eta(point), from the two laws
+    eta(sigma + 1) = e^(i pi / 12) eta(sigma), eta(-1/sigma) = sqrt(-i sigma) eta(sigma).
     """
-    cur = as_sigma(sigma)
+    cur = sigma
+    a, b, c, d = 1, 0, 0, 1
     factor = 1.0 + 0j
-    # invariant: eta(original) = factor * eta(cur)
-    for _ in range(10_000):
+    for _ in range(_REDUCE_MAX_STEPS):
         n = round(cur.real)
         if n != 0:
             factor *= cmath.exp(1j * math.pi * n / 12.0)
             cur -= n
-        if abs(cur) < 1.0 - 1e-15:
+            a, b = a - n * c, b - n * d
+        if abs(cur) < 1.0 - tol:
             factor /= cmath.sqrt(-1j * cur)
             cur = -1.0 / cur
+            a, b, c, d = -c, -d, a, b
         else:
-            break
-    else:
-        raise ConvergenceError("fundamental-domain walk did not terminate")
+            # the translation left |Re cur| <= 1/2, so cur is reduced
+            return cur, (a, b, c, d), factor
+    raise ConvergenceError(f"fundamental-domain walk did not terminate for sigma = {sigma}")
+
+
+def dedekind_eta(sigma) -> complex:
+    """Dedekind eta, eta(sigma) = q^(1/24) prod (1 - q^n) with q = e^(2 pi i sigma).
+
+    For small Im sigma the argument is first walked into the fundamental
+    domain, with the multiplier of the modular transformation laws, so the
+    accuracy is uniform in Im sigma.  Once q underflows, eta = q^(1/24).
+    """
+    # the q-product needs only Im sigma >= 1/2, not the reduction's tolerance
+    cur, _, factor = _walk_to_fundamental_domain(as_sigma(sigma), 1e-15)
     return factor * _eta_qproduct(cur)
 
 
@@ -212,10 +226,15 @@ def _complete_K(m: complex) -> complex:
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= 1e-17 * abs(a):
             return math.pi / (2.0 * a)
+        prev = (a, b)
         a, b = (a + b) / 2.0, cmath.sqrt(a * b)
         # choose the square root that keeps the pair in the same half plane
         if abs(a - b) > abs(a + b):
             b = -b
+        # a pair that rounding keeps an ulp apart is a fixed point: further
+        # steps would only run on to the cap with the same pair
+        if (a, b) == prev:
+            break
     if abs(a - b) <= 1e-13 * abs(a):
         return math.pi / (2.0 * a)
     raise ConvergenceError(f"AGM did not converge for m = {m}")
@@ -245,19 +264,5 @@ def reduce_to_fundamental_domain(sigma) -> PeriodRatio:
     reduced point is the identity.
     """
     s0 = as_sigma(sigma)
-    cur = s0
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(_REDUCE_MAX_STEPS):
-        n = round(cur.real)
-        if n != 0:
-            cur -= n
-            a, b = a - n * c, b - n * d
-        if abs(cur) < 1.0 - _FUND_TOL:
-            cur = -1.0 / cur
-            a, b, c, d = -c, -d, a, b
-        else:
-            if abs(cur.real) <= 0.5 + _FUND_TOL:
-                break
-    else:
-        raise ConvergenceError(f"reduction did not terminate for sigma = {s0}")
-    return PeriodRatio(sigma=s0, reduced=(cur, (a, b, c, d)))
+    cur, matrix, _ = _walk_to_fundamental_domain(s0, _FUND_TOL)
+    return PeriodRatio(sigma=s0, reduced=(cur, matrix))

@@ -12,7 +12,9 @@ summation with no lattice reduction.
 
 import cmath
 import math
+import types
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -26,6 +28,7 @@ from conetorus import (
     reduce_to_fundamental_domain,
     theta,
 )
+from conetorus import specialfn
 from conetorus.errors import BranchCutError, DomainError
 
 THETA00_AT_I = 1.0864348112133080
@@ -176,6 +179,42 @@ def test_eta_small_imaginary_part():
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
     rhs_s = dedekind_eta(-1.0 / sigma) / cmath.sqrt(-1j * sigma)
     assert abs(lhs - rhs_s) <= 1e-12 * abs(lhs)
+
+
+def test_eta_where_q_underflows():
+    # q = exp(2 pi i sigma) rounds to 0 at the reduced point; eta = q^(1/24)
+    ref = math.exp(-200.0 * math.pi / 12.0)
+    assert abs(dedekind_eta(200j) - ref) <= 1e-15 * ref
+    # next to the cusp 1/2 the walk ends at Im sigma near 250
+    sigma = 0.5 + 0.001j
+    val = dedekind_eta(sigma)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(sigma.real, sigma.imag)
+        q = mpmath.exp(2j * mpmath.pi * s)
+        ref = complex(mpmath.exp(1j * mpmath.pi * s / 12) * mpmath.qp(q))
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+def test_agm_stops_at_its_fixed_point(monkeypatch):
+    # the exit test |a - b| <= 1e-17 |a| is below double precision; a pair
+    # that rounding keeps one ulp apart must end the loop, not run to the cap
+    calls = []
+
+    def counting_sqrt(x):
+        calls.append(x)
+        return cmath.sqrt(x)
+
+    monkeypatch.setattr(specialfn, "cmath", types.SimpleNamespace(sqrt=counting_sqrt))
+    rng = np.random.default_rng(15)
+    per_call = []
+    for _ in range(100):
+        t = complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))
+        for m in (t, 1.0 - t):
+            calls.clear()
+            specialfn._complete_K(m)
+            per_call.append(len(calls))
+    assert max(per_call) <= 25
+    assert sum(per_call) <= 10 * len(per_call)
 
 
 def test_reduce_to_fundamental_domain():
