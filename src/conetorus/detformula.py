@@ -17,8 +17,9 @@ determinant through the Bergman tau function, tau = eta(sigma)^2 times a
 twelfth root of t (t - 1) continued straight from a fixed base point.  The
 second is the variational identity d/dt log det = (b(0) - b(-oo)) / 2; of
 its coefficients, b(-oo) comes from the Taylor data of the quarter-disk
-chart at the preimage of t or in closed form, and b(0) from derivatives of
-tau and Im sigma.
+chart at the preimage of t or in closed form, and b(0) in closed form from
+the complete elliptic integrals K(t) and E(t).  Nothing here differences
+numerically: the identity's left side is left to its callers.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 from .errors import DomainError, NormalizationError
 from .geometry import _rho_inverse, conformal_map, conformal_map_prime
 from .moduli import sigma_from_t, validate_t
-from .numdiff import log_aligned, wirtinger
-from .specialfn import as_sigma, dedekind_eta
+from .specialfn import _complete_KE, as_sigma, dedekind_eta
 
 __all__ = [
     "DetValue",
@@ -104,9 +104,10 @@ def flat_det(sigma) -> DetValue:
     """Log determinant of the flat unit-area torus, log(|Im sigma| |eta|^4).
 
     Modular invariant: unimodular images of sigma give the same value.
+    Summed in logs, since |eta|^4 ~ e^(-pi Im sigma / 3) is subnormal from Im sigma ~ 680.
     """
     s = as_sigma(sigma)
-    return DetValue(math.log(s.imag * abs(dedekind_eta(s)) ** 4))
+    return DetValue(math.log(s.imag) + 4.0 * math.log(abs(dedekind_eta(s))))
 
 
 def det_value(t) -> DetValue:
@@ -249,22 +250,19 @@ def schiffer_b0(t) -> complex:
     Bergman tau derivative carries the Bergman projective connection and
     the Im sigma derivative removes the abelian-differential square between
     the two, leaving -(1/6) of the Schiffer evaluation at the cone point.
-    With tau = eta(sigma)^2 (t (t-1))^(1/12) the root's part is exact,
-    (1/t + 1/(t-1)) / 6, and only 2 log eta(sigma) + log Im sigma is
-    differenced (log eta stays complex, so the Cauchy-Riemann equations of
-    eta o sigma are tested too).  The stencil steps into both half planes
-    and sigma jumps across the real cuts, so t must stay off the real axis
-    by more than the coarse step.
+    With tau = eta(sigma)^2 (t (t-1))^(1/12), Legendre's relation
+    dsigma/dt = -i pi / (4 t (1-t) K^2) and Ramanujan's
+    E2(sigma) = (2K/pi)^2 (3E/K - 2 + t), where K = K(t) and E = E(t),
+    give it in closed form,
+
+        b(0) = (E/K - 1/2 - pi / (4 K^2 Im sigma)) / (t (1 - t)).
+
+    E2 and 1/Im sigma carry opposite modular anomalies, so b(0) is
+    continuous across the real cuts, where sigma jumps; on a cut K, E and
+    sigma all take the limit from Im t > 0.
     """
     tc = validate_t(t)
-    if abs(tc.imag) <= 2.0e-4:
-        raise DomainError(
-            "b(0) differencing crosses the real-axis branch locus; need |Im t| > 2e-4"
-        )
-    eta_ref = dedekind_eta(sigma_from_t(tc))
-
-    def log_eta2_im_sigma(z: complex) -> complex:
-        sigma = as_sigma(sigma_from_t(z))
-        return 2.0 * log_aligned(dedekind_eta(sigma), eta_ref) + math.log(sigma.imag)
-
-    return 2.0 * wirtinger(log_eta2_im_sigma, tc) + (1.0 / tc + 1.0 / (tc - 1.0)) / 6.0
+    sigma = as_sigma(sigma_from_t(tc))
+    # adding +0.0 turns an imaginary -0.0 into +0.0: sigma_from_t's side of the cuts
+    k, e = _complete_KE(complex(tc.real, tc.imag + 0.0))
+    return (e / k - 0.5 - math.pi / (4.0 * k * k * sigma.imag)) / (tc * (1.0 - tc))

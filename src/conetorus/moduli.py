@@ -14,12 +14,14 @@ group orbits, not pointwise.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import BranchConventionWarning, DomainError, NormalizationError
-from .specialfn import PeriodRatio, _complete_K, as_sigma, reduce_to_fundamental_domain, theta
+from .specialfn import (PeriodRatio, _agm, _complete_K, as_sigma,
+                        reduce_to_fundamental_domain, theta)
 
 __all__ = [
     "GOrbit",
@@ -91,19 +93,14 @@ def sigma_from_t(t) -> PeriodRatio:
     IEEE signed zeros, so no finite nudge of t is involved.
     """
     tc = validate_t(t)
-    if tc.imag == 0.0:
-        if tc.real < 0.0 or tc.real > 1.0:
-            warnings.warn(
-                "t lies on a real cut; using the limit from Im t > 0",
-                BranchConventionWarning,
-                stacklevel=2,
-            )
-        k2_t = complex(tc.real, +0.0)
-        k2_1mt = complex(1.0 - tc.real, -0.0)
-    else:
-        k2_t = tc
-        k2_1mt = 1.0 - tc
-    sigma = 1j * _complete_K(k2_1mt) / _complete_K(k2_t)
+    if tc.imag == 0.0 and (tc.real < 0.0 or tc.real > 1.0):
+        warnings.warn("t lies on a real cut; using the limit from Im t > 0",
+                      BranchConventionWarning, stacklevel=2)
+    # adding +0.0 turns an imaginary -0.0 into +0.0, the side of Im t > 0
+    k2_t = complex(tc.real, tc.imag + 0.0)
+    # the AGM of K(1-t) starts from its complementary modulus sqrt(t) itself:
+    # sqrt(1 - (1-t)) cancels to 0 for |t| below about 1e-17
+    sigma = 1j * _agm(cmath.sqrt(k2_t))[0] / _complete_K(k2_t)
     if sigma.imag <= 0.0:
         # the principal-branch ratio lands in the upper half plane on the
         # whole slit plane; flipping the sign would only mask a branch bug
@@ -111,30 +108,36 @@ def sigma_from_t(t) -> PeriodRatio:
     return PeriodRatio(sigma=sigma)
 
 
+# (a, b, c, d) mod 2 of the reduction matrix M -> position of t(sigma) in
+# g_orbit(t(M sigma)).members, from t(sigma+1) = t/(t-1) and t(-1/sigma) = 1/t
+_ORBIT_INDEX = {(1, 0, 0, 1): 0, (0, 1, 1, 0): 1, (1, 0, 1, 1): 2,
+                (0, 1, 1, 1): 3, (1, 1, 0, 1): 4, (1, 1, 1, 0): 5}
+
+
 def t_from_sigma(sigma) -> complex:
     """Branch point from theta constants, t = -(theta[1,0]/theta[0,1])(0|sigma)^4.
 
+    The theta constants are taken at the reduced point M sigma, where the
+    series are short and theta[0,1] is near 1, and t follows from the
+    anharmonic map of M mod 2.  So t keeps its relative accuracy as
+    Im sigma -> 0; where it leaves the double range, DomainError is raised.
     Composing with sigma_from_t returns a point in the same group orbit as
     the input (not necessarily the identical representative).
     """
     s = as_sigma(sigma)
-    th10 = theta((1, 0), 0.0, s)
-    th01 = theta((0, 1), 0.0, s)
-    if th01 == 0:
-        raise NormalizationError("theta[0,1] null value vanished unexpectedly")
-    ratio = th10 / th01
-    return -(ratio**4)
+    red, (a, b, c, d) = reduce_to_fundamental_domain(s).reduced
+    t_red = -((theta((1, 0), 0.0, red) / theta((0, 1), 0.0, red)) ** 4)
+    try:
+        return validate_t(g_orbit(t_red).members[_ORBIT_INDEX[(a % 2, b % 2, c % 2, d % 2)]])
+    except DomainError:
+        raise DomainError(f"t(sigma) is not representable in double precision at {s}") from None
 
 
 def unimodular_equivalent(s1, s2, tol: float = 1.0e-9) -> bool:
     """True when the two period ratios reduce to the same fundamental point."""
     r1 = reduce_to_fundamental_domain(as_sigma(s1)).reduced[0]
     r2 = reduce_to_fundamental_domain(as_sigma(s2)).reduced[0]
-    if abs(r1 - r2) <= tol:
-        return True
     # points on the boundary of the fundamental domain may reduce to either
     # of two identified representatives
-    for cand in (complex(r2.real - 1.0, r2.imag), complex(r2.real + 1.0, r2.imag), -1.0 / r2):
-        if abs(r1 - cand) <= tol:
-            return True
-    return False
+    return any(abs(r1 - cand) <= tol for cand in (
+        r2, complex(r2.real - 1.0, r2.imag), complex(r2.real + 1.0, r2.imag), -1.0 / r2))

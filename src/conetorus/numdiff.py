@@ -1,20 +1,20 @@
-"""Finite-difference helpers shared by the derivative-based identities.
+"""Finite-difference helpers for the identity checks.
 
-Everything here is plain Richardson-extrapolated central differencing.
-The Wirtinger derivative uses the convention
+Everything here is plain Richardson-extrapolated central differencing:
+the Wirtinger derivative of the variational identity's left side, and the
+five-point Laplacian of the curvature checks.  The formula layer itself
+differences nothing.  The Wirtinger derivative uses the convention
 d/dt = (d/dx - i d/dy) / 2 for t = x + i y.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+__all__ = ["wirtinger", "laplacian5"]
 
-__all__ = ["wirtinger", "log_aligned", "laplacian5"]
-
-# Richardson pair of steps of the Wirtinger derivative
-_H_COARSE = 1.0e-4
-_H_FINE = 1.0e-5
+# Richardson pair of steps of the Wirtinger derivative, relative to the
+# distance min(1, |t|, |t-1|) from t to the nearer singular point
+_H_COARSE = 3.0e-3
+_H_FINE = 1.5e-3
 
 
 def _wirtinger_once(f, t: complex, h: float) -> complex:
@@ -26,21 +26,19 @@ def _wirtinger_once(f, t: complex, h: float) -> complex:
 def wirtinger(f, t) -> complex:
     """Wirtinger derivative of f at t by two-step Richardson extrapolation.
 
-    Central differences at steps hc = 1e-4 and hf = 1e-5 are combined so the
-    O(h^2) error cancels:  D = (hc^2 D_fine - hf^2 D_coarse) / (hc^2 - hf^2).
+    Central differences at steps hc = 3e-3 r and hf = 1.5e-3 r, with
+    r = min(1, |t|, |t-1|), are combined so the O(h^2) error cancels:
+    D = (hc^2 D_fine - hf^2 D_coarse) / (hc^2 - hf^2).  Scaling by r keeps
+    the stencil well inside the disk on which f is smooth when f has its
+    singularities at 0 and 1, as the determinant does.
     """
     tc = complex(t)
-    d_coarse = _wirtinger_once(f, tc, _H_COARSE)
-    d_fine = _wirtinger_once(f, tc, _H_FINE)
-    w = _H_COARSE * _H_COARSE / (_H_COARSE * _H_COARSE - _H_FINE * _H_FINE)
+    r = min(1.0, abs(tc), abs(tc - 1.0))
+    hc, hf = _H_COARSE * r, _H_FINE * r
+    d_coarse = _wirtinger_once(f, tc, hc)
+    d_fine = _wirtinger_once(f, tc, hf)
+    w = hc * hc / (hc * hc - hf * hf)
     return w * d_fine + (1.0 - w) * d_coarse
-
-
-def log_aligned(value: complex, reference: complex) -> complex:
-    """Logarithm of ``value`` with the branch nearest to arg(reference)."""
-    raw = cmath.log(value)
-    shift = round((cmath.phase(reference) - raw.imag) / (2.0 * math.pi))
-    return complex(raw.real, raw.imag + 2.0 * math.pi * shift)
 
 
 def laplacian5(f, w: complex, h: float) -> float:

@@ -10,7 +10,7 @@ Conventions fixed once for the whole package:
     eta(sigma) = q^(1/24) prod_{n>=1} (1 - q^n),   q = exp(2 pi i sigma),
 
     K(m) = int_0^(pi/2) (1 - m sin^2 x)^(-1/2) dx,  as a function of m = k^2,
-    principal branch, m not in [1, oo).
+    E(m) = int_0^(pi/2) (1 - m sin^2 x)^(1/2) dx,   principal branches, m not in [1, oo).
 
 All of them require Im sigma > 0.  Theta series are truncated with a
 certified geometric tail bound: the dropped tail is below 1e-14 relative
@@ -62,11 +62,7 @@ class PeriodRatio:
     reduced: tuple[complex, tuple[int, int, int, int]] | None = None
 
     def __post_init__(self) -> None:
-        s = complex(self.sigma)
-        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-            raise DomainError("period ratio must be finite")
-        if s.imag <= 0.0:
-            raise DomainError(f"period ratio needs Im sigma > 0, got {s}")
+        as_sigma(self.sigma)
         if self.reduced is not None:
             red, (a, b, c, d) = self.reduced
             if a * d - b * c != 1:
@@ -213,22 +209,22 @@ def dedekind_eta(sigma) -> complex:
     return factor * _eta_qproduct(cur)
 
 
-def _complete_K(m: complex) -> complex:
-    """AGM iteration for K(m) without the branch-cut guard.
+def _agm(b0: complex) -> tuple[complex, list[complex]]:
+    """pi / (2 AGM(1, b0)), and the differences a_n - b_n of the AGM pairs.
 
-    Signed zeros in the imaginary part of ``m`` select the side of the cut,
-    which implements one-sided limits.
+    Each step keeps the square root in the half plane of the mean, which is
+    the principal branch: with b0 = sqrt(1-m) the first value is K(m), and
+    E(m) = K(m) (1 - m/2 - sum_n 2^(n-2) (a_n - b_n)^2).
     """
-    a = 1.0 + 0j
-    # 1.0 - m would collapse an imaginary -0.0 to +0.0 and hop the sqrt cut;
-    # negating the parts keeps the zero signs and with them the chosen side
-    b = cmath.sqrt(complex(1.0 - m.real, -m.imag))
+    a, b = 1.0 + 0j, b0
+    diffs = []
     for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= 1e-17 * abs(a):
-            return math.pi / (2.0 * a)
+        diff = a - b
+        if abs(diff) <= 1e-17 * abs(a):
+            return math.pi / (2.0 * a), diffs
+        diffs.append(diff)
         prev = (a, b)
         a, b = (a + b) / 2.0, cmath.sqrt(a * b)
-        # choose the square root that keeps the pair in the same half plane
         if abs(a - b) > abs(a + b):
             b = -b
         # a pair that rounding keeps an ulp apart is a fixed point: further
@@ -236,8 +232,25 @@ def _complete_K(m: complex) -> complex:
         if (a, b) == prev:
             break
     if abs(a - b) <= 1e-13 * abs(a):
-        return math.pi / (2.0 * a)
-    raise ConvergenceError(f"AGM did not converge for m = {m}")
+        return math.pi / (2.0 * a), diffs
+    raise ConvergenceError(f"AGM did not converge for sqrt(1-m) = {b0}")
+
+
+def _complementary_modulus(m: complex) -> complex:
+    """sqrt(1-m), keeping the side of the cut that signed zeros in Im m select."""
+    # 1.0 - m would collapse an imaginary -0.0 to +0.0 and hop the sqrt cut
+    return cmath.sqrt(complex(1.0 - m.real, -m.imag))
+
+
+def _complete_K(m: complex) -> complex:
+    """K(m) by the AGM, without the branch-cut guard; signed zeros give one-sided limits."""
+    return _agm(_complementary_modulus(m))[0]
+
+
+def _complete_KE(m: complex) -> tuple[complex, complex]:
+    """K(m) and E(m) from one AGM loop, on the same side of the cut as _complete_K."""
+    k, diffs = _agm(_complementary_modulus(m))
+    return k, k * (1.0 - 0.5 * m - sum(2.0 ** (n - 2) * d * d for n, d in enumerate(diffs)))
 
 
 def elliptic_K(k_squared) -> complex:

@@ -262,31 +262,18 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     )
 
 
-def _counting_fit(eigenvalues: np.ndarray, k_lo: int) -> tuple[float, float]:
-    """Least-squares line through the counting staircase midpoints.
-
-    Fits k - 1/2 against lambda_k for k = k_lo .. M (k indexes nonzero
-    modes from 1); returns (slope, intercept).
-    """
-    lam = eigenvalues[1:]
-    m = lam.size
-    ks = np.arange(1, m + 1, dtype=np.float64)
-    sel = ks >= k_lo
-    slope, intercept = np.polyfit(lam[sel], ks[sel] - 0.5, 1)
-    return float(slope), float(intercept)
-
-
 def weyl_check(spec: SpectrumResult) -> float:
     """Slope of the eigenvalue counting function, expected area / (4 pi).
 
-    Least-squares fit of N(lambda) over the resolved range, skipping the
-    first few modes where the staircase is too coarse.  Needs at least 30
-    nonzero modes.
+    Least-squares line through the staircase midpoints k - 1/2 against
+    lambda_k (k counts nonzero modes from 1), skipping k < 5 where the
+    staircase is too coarse.  Needs at least 30 nonzero modes.
     """
-    if spec.eigenvalues.size - 1 < 30:
+    lam = spec.eigenvalues[1:]
+    if lam.size < 30:
         raise DomainError("Weyl slope needs at least 30 nonzero modes")
-    slope, _ = _counting_fit(spec.eigenvalues, k_lo=5)
-    return slope
+    ks = np.arange(1, lam.size + 1, dtype=np.float64)
+    return float(np.polyfit(lam[4:], ks[4:] - 0.5, 1)[0])
 
 
 _GENERATORS = {
@@ -309,13 +296,10 @@ def isospectral_orbit_check(t, generator, grid_shape, m: int, seed: int = 0) -> 
     if not any(abs(t_img - mem) <= 1e-12 * max(1.0, abs(mem)) for mem in g_orbit(tc).members):
         raise DomainError("generator output is not in the moduli orbit of t")
 
-    gaps = []
     spec_a = lowest_eigenvalues(assemble(sigma_from_t(tc), tc, grid_shape), m + 1, seed)
     spec_b = lowest_eigenvalues(assemble(sigma_from_t(t_img), t_img, grid_shape), m + 1, seed)
-    la, lb = spec_a.eigenvalues[1:], spec_b.eigenvalues[1:]
-    for i in range(m):
-        gaps.append(abs(la[i] - lb[i]) / la[i])
-    return float(max(gaps))
+    la, lb = spec_a.eigenvalues[1:m + 1], spec_b.eigenvalues[1:m + 1]
+    return float(np.max(np.abs(la - lb) / la))
 
 
 def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None) -> DetValue:

@@ -141,6 +141,20 @@ def test_sigma_subcommand_reduces(capsys):
     assert "t" in rep["outputs"]
 
 
+def test_sigma_subcommand_next_to_the_real_axis(capsys):
+    code, out = run_cli(["sigma", "--sigma", "0.001+0.0001i", "--format", "json"], capsys)
+    assert code == 0
+    t = parse_complex(json.loads(out)["outputs"]["t"])
+    # 50-digit mpmath value of -(theta_2 / theta_4)^4 at this sigma
+    ref = -7.26592067774479e133 - 2.3358793246520213e133j
+    assert abs(t - ref) <= 1e-10 * abs(ref)
+    # t(1e-5 i) overflows: a clean exit 2, not inf with pass true
+    assert main(["sigma", "--sigma", "0.00001i"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t(sigma) is not representable")
+
+
 def test_orbit_subcommand(capsys):
     code, out = run_cli(["orbit", "--t", "0.3+0.4i", "--format", "json"], capsys)
     assert code == 0

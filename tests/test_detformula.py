@@ -16,6 +16,7 @@ Regression baselines (deterministic, no closed form):
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,17 +27,19 @@ from conetorus import (
     conformal_map,
     det_prelim,
     det_value,
+    detformula,
     flat_det,
     g_orbit,
     s_from_t,
     schiffer_b0,
     sigma_from_t,
+    specialfn,
     tau_bergman,
     taylor_AB,
 )
 from conetorus.detformula import TAU_BASE_POINT, DetValue
 from conetorus.errors import DomainError
-from conetorus.numdiff import log_aligned, wirtinger
+from conetorus.numdiff import wirtinger
 
 F_SQUARE_TORUS = 0.7937005259840998
 DET_03 = -1.3169898899502732
@@ -93,6 +96,35 @@ def test_flat_det_modular_invariance():
         for a, b, c, d in ((1, 1, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1)):
             img = (a * s + b) / (c * s + d)
             assert abs(flat_det(img).log_value - base) <= 1e-11
+
+
+def test_flat_det_where_eta_to_the_fourth_goes_subnormal():
+    # |eta|^4 = e^(-pi Im sigma / 3) is subnormal at 700i and 0 at 720i
+    for y in (700.0, 720.0):
+        with mpmath.workdps(30):
+            s = mpmath.mpc(0, y)
+            q = mpmath.exp(2j * mpmath.pi * s)
+            ref = float(mpmath.log(y) - mpmath.pi * y / 3 + 4 * mpmath.log(abs(mpmath.qp(q))))
+        assert abs(flat_det(complex(0.0, y)).log_value - ref) <= 1e-15 * abs(ref)
+
+
+def test_det_value_next_to_zero_against_mpmath():
+    # K(1-t) starts its AGM from sqrt(t); sqrt(1 - (1-t)) would be 0 here
+    for t in (1e-18, -1e-18, 1e-30, 1e-18j):
+        with mpmath.workdps(50):
+            tm = mpmath.mpc(t.real, t.imag) if isinstance(t, complex) else mpmath.mpf(t)
+            s = 1j * mpmath.ellipk(1 - tm) / mpmath.ellipk(tm)
+            q = mpmath.exp(2j * mpmath.pi * s)
+            r = mpmath.sqrt(tm)
+            log_f = (mpmath.log(abs(tm)) + mpmath.log(abs(tm - 1))) / 24 \
+                - mpmath.log(abs(r - 1) + abs(r + 1)) / 4
+            ref = float(mpmath.log(s.imag) - mpmath.pi * s.imag / 3
+                        + 4 * mpmath.log(abs(mpmath.qp(q))) + log_f)
+            sigma_ref = complex(s)
+        assert abs(det_value(t).log_value - ref) <= 1e-13 * abs(ref)
+        if t != -1e-18:
+            # on the cut mpmath may take the other side; det does not care
+            assert abs(sigma_from_t(t).sigma - sigma_ref) <= 1e-14 * abs(sigma_ref)
 
 
 def test_det_orbit_invariance():
@@ -183,21 +215,106 @@ def test_taylor_reversion_order():
         assert slope >= 4.7
 
 
+def log_det(z):
+    return det_value(z).log_value
+
+
+def variational_residual(t):
+    return abs(wirtinger(log_det, t) - 0.5 * (schiffer_b0(t) - b_minus_inf_closed(t)))
+
+
 def test_variational_identity():
     rng = np.random.default_rng(38)
     for t in upper_t(rng, 5, im_lo=0.25):
-
-        def log_det(z):
-            return det_value(z).log_value
-
-        lhs = wirtinger(log_det, t)
-        rhs = 0.5 * (schiffer_b0(t) - b_minus_inf_closed(t))
-        assert abs(lhs - rhs) <= 1e-6
+        assert variational_residual(t) <= 1e-6
 
 
-def test_schiffer_b0_needs_imaginary_part():
-    with pytest.raises(DomainError):
-        schiffer_b0(0.3 + 1e-5j)
+def test_variational_identity_next_to_0_and_1():
+    # the Wirtinger step scales with the distance to the nearer singular point
+    for base in (0.0, 1.0):
+        for r in (1e-4, 1e-3, 1e-2):
+            for k in range(7):
+                t = base + r * cmath.exp(1j * (0.1 + 2.0 * math.pi * k / 7.0))
+                assert variational_residual(t) <= 1e-6
+
+
+def test_variational_identity_on_the_real_axis():
+    # b(0) exists on the real axis; on the cuts both sides take the limit from above
+    for t in (0.3, 2.0, -3.0, 40.0):
+        assert variational_residual(t) <= 1e-6
+
+
+def test_variational_identity_rejects_eta_mutants(monkeypatch):
+    # b(0) no longer touches eta, so a wrong eta in det_value must show
+    eta = detformula.dedekind_eta
+    rng = np.random.default_rng(40)
+    points = upper_t(rng, 5, im_lo=0.25)
+    for mutant in (lambda s: eta(s) * cmath.exp(0.3 * s), lambda s: eta(s) ** 2):
+        monkeypatch.setattr(detformula, "dedekind_eta", mutant)
+        assert max(variational_residual(t) for t in points) > 1e-2
+
+
+def mp_b0(t):
+    """b(0) at 50 digits: 2 d/dt (2 log eta(sigma) + log Im sigma) + (1/t + 1/(t-1)) / 6.
+
+    Since eta o sigma is holomorphic, d/dt of 2 log eta equals d/dt of the
+    real 4 log |eta|, so the differenced function is the flat log det,
+    which is modular invariant and is evaluated at the reduced point.
+    """
+
+    def log_flat_det(z):
+        s = 1j * mpmath.ellipk(1 - z) / mpmath.ellipk(z)
+        while True:
+            s -= mpmath.nint(s.real)
+            if abs(s) >= 1:
+                break
+            s = -1 / s
+        q = mpmath.exp(2j * mpmath.pi * s)
+        return mpmath.log(s.imag) - mpmath.pi * s.imag / 3 + 4 * mpmath.log(abs(mpmath.qp(q)))
+
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(t.real), mpmath.mpf(t.imag)
+        dx = mpmath.diff(lambda u: log_flat_det(mpmath.mpc(u, y)), x)
+        dy = mpmath.diff(lambda v: log_flat_det(mpmath.mpc(x, v)), y)
+        tm = mpmath.mpc(x, y)
+        return complex((dx - 1j * dy) + (1 / tm + 1 / (tm - 1)) / 6)
+
+
+def test_schiffer_b0_mpmath_oracle():
+    for t in (1e-3 * cmath.exp(0.7j), 1.0 + 1e-3 * cmath.exp(2.0j), 0.3 + 0.4j,
+              -0.5 - 0.8j, 50.0 - 30.0j, 1.7 + 0.3j):
+        ref = mp_b0(t)
+        assert abs(schiffer_b0(t) - ref) <= 1e-13 * abs(ref)
+
+
+def orbit_fixed_point_gap(b0):
+    """Largest |b(0) - b(-oo)| where d/dt log det vanishes by symmetry.
+
+    1/2, 2 and -1 are fixed by an involution of the order-6 group with
+    derivative -1 there, e^(i pi/3) by the rotation t -> 1/(1-t).
+    """
+    return max(abs(b0(t) - b_minus_inf_closed(t))
+               for t in (0.5, 2.0, -1.0, cmath.exp(1j * math.pi / 3.0)))
+
+
+def test_b0_equals_b_minus_inf_at_orbit_fixed_points():
+    assert orbit_fixed_point_gap(schiffer_b0) <= 1e-14
+
+
+def test_orbit_fixed_points_reject_dropped_im_sigma_term():
+    def without_im_sigma_term(t):
+        k, e = specialfn._complete_KE(complex(t))
+        return (e / k - 0.5) / (t * (1.0 - t))
+
+    assert orbit_fixed_point_gap(without_im_sigma_term) > 1e-2
+
+
+def test_b0_continuous_across_real_cuts():
+    # sigma jumps by a modular transformation there, b(0) does not
+    for x in (-3.0, 2.0, 40.0):
+        above, below = x + 1e-9j, x - 1e-9j
+        assert abs(sigma_from_t(above).sigma - sigma_from_t(below).sigma) > 0.1
+        assert abs(schiffer_b0(above) - schiffer_b0(below)) <= 1e-8
 
 
 def test_prelim_route_consistency():
@@ -225,17 +342,18 @@ def test_tau_monodromy_across_branch_rays():
 
 
 def test_variational_identity_next_to_branch_paths():
-    def log_det(z):
-        return det_value(z).log_value
+    def log_aligned(value, reference):
+        # the branch of log(value) nearest to arg(reference)
+        raw = cmath.log(value)
+        shift = round((cmath.phase(reference) - raw.imag) / (2.0 * math.pi))
+        return complex(raw.real, raw.imag + 2.0 * math.pi * shift)
 
     for a in (0.0, 1.0):
         for offset in (3e-5, 3e-6):
             t = near_branch_ray(a, offset)
             assert abs((det_prelim(t) - det_value(t))
                        - (det_prelim(0.3 + 0.4j) - det_value(0.3 + 0.4j))) <= 1e-12
-            lhs = wirtinger(log_det, t)
-            b_inf = b_minus_inf_closed(t)
-            assert abs(lhs - 0.5 * (schiffer_b0(t) - b_inf)) <= 1e-6
+            assert variational_residual(t) <= 1e-6
 
             # the Wirtinger stencil straddles the path: continued from the
             # base point, its points pick up different twelfth roots of unity
@@ -247,8 +365,9 @@ def test_variational_identity_next_to_branch_paths():
             def log_im_sigma(z):
                 return math.log(sigma_from_t(z).sigma.imag)
 
+            lhs = wirtinger(log_det, t)
             b0_straight = 2.0 * wirtinger(log_tau_straight, t) + 2.0 * wirtinger(log_im_sigma, t)
-            assert abs(lhs - 0.5 * (b0_straight - b_inf)) > 1.0
+            assert abs(lhs - 0.5 * (b0_straight - b_minus_inf_closed(t))) > 1.0
 
 
 def test_det_domain_guards():

@@ -12,6 +12,7 @@ Round trips t -> sigma -> t are contracted at orbit level only.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,36 @@ def test_t_from_sigma_anchor():
     t = t_from_sigma(1j)
     assert abs(t - (-1.0)) <= 1e-12
     assert same_moduli_point(0.5, t, tol=1e-12)
+
+
+def mp_t_from_sigma(sigma):
+    with mpmath.workdps(50):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(sigma.real, sigma.imag))
+        return complex(-(mpmath.jtheta(2, 0, q) / mpmath.jtheta(4, 0, q)) ** 4)
+
+
+def test_t_from_sigma_toward_the_real_axis():
+    # theta at the reduced point, t carried back by the anharmonic map of the
+    # reduction; a direct series loses every digit at the first point
+    for sigma in (0.2 + 0.05j, -0.49 + 0.02j, 0.01j, 0.3 + 1e-3j, 0.001 + 0.0001j):
+        ref = mp_t_from_sigma(sigma)
+        assert abs(t_from_sigma(sigma) - ref) <= 1e-10 * abs(ref)
+
+
+def test_t_from_sigma_out_of_range():
+    # t(1e-5 i) = 1/t(1e5 i) overflows, t(1000 i) underflows to 0
+    for sigma in (1e-5j, 1000j):
+        with pytest.raises(DomainError):
+            t_from_sigma(sigma)
+
+
+def test_sigma_from_t_next_to_zero():
+    # the AGM of K(1-t) starts from sqrt(t), not from sqrt(1 - (1-t)) = 0
+    for t in (1e-18, 1e-30, 1e-18j):
+        with mpmath.workdps(50):
+            tm = mpmath.mpmathify(t)
+            ref = complex(1j * mpmath.ellipk(1 - tm) / mpmath.ellipk(tm))
+        assert abs(sigma_from_t(t).sigma - ref) <= 1e-14 * abs(ref)
 
 
 def test_orbit_members_and_closure():
