@@ -4,9 +4,10 @@ Subcommands: det, sigma, orbit, tau, spectrum, verify, field-dump.
 Complex flags use the "a+bi" syntax.  Reports go to stdout as text, json,
 or csv (--format); reruns are byte-identical (fixed seeds, floats printed
 with 15 significant digits).  Exit status: 0 on success and all checks
-passing, 1 when a verification suite fails, 2 on unparseable or
-out-of-domain input, when a numerical scheme does not converge, or when a
-constructed object fails its consistency check.
+passing, 1 when a verification suite fails, 2 on bad usage (a missing or
+duplicated --t/--sigma included), unparseable or out-of-domain input, when
+a numerical scheme does not converge, or when a constructed object fails
+its consistency check.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import __version__
 from .detformula import F, det_prelim, det_value, tau_bergman
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .geometry import conformal_factor_on_torus, save_field
-from .moduli import g_orbit, sigma_from_t, t_from_sigma
+from .moduli import g_orbit, sigma_from_t, t_from_sigma, validate_t
 from .spectral import assemble, flat_operator, lowest_eigenvalues
 from .specialfn import reduce_to_fundamental_domain
 from .verify import DEFAULT_TOLERANCES, SUITES, run_suite
@@ -29,31 +30,11 @@ __all__ = ["main", "parse_complex"]
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "a+bi" / "a-bi" with either part optional ("2", "i", "-0.5i")."""
+    """Parse "a+bi" / "a-bi" with either part optional ("2", "i", "-0.5i"); no "j", no "("."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
-    try:
-        return complex(float(s), 0.0)
-    except ValueError:
-        pass
-    if not s.endswith("i"):
+    if any(c in s for c in "jJ("):
         raise ValueError(f"cannot parse complex literal {text!r}")
-    body = s[:-1]
-    re_part, im_part = "", body
-    # split before the sign of the imaginary part, skipping exponent signs
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
-        im = float(im_part)
-    re = float(re_part) if re_part else 0.0
-    return complex(re, im)
+    return complex(s[:-1] + "j" if s.endswith("i") else s)
 
 
 def _fmt_real(x: float) -> str:
@@ -130,23 +111,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(q, need_t="maybe"):
-        if need_t in ("yes", "maybe"):
-            q.add_argument("--t", type=parse_complex, default=None,
+    def add_common(q, sigma_chart=False):
+        chart = q.add_mutually_exclusive_group(required=True) if sigma_chart else q
+        chart.add_argument("--t", type=parse_complex, required=not sigma_chart,
                            help='branch coordinate, complex literal like "0.3+0.4i"')
-        if need_t == "maybe":
-            q.add_argument("--sigma", type=parse_complex, default=None,
-                           help="period ratio in the upper half-plane")
+        if sigma_chart:
+            chart.add_argument("--sigma", type=parse_complex,
+                               help="period ratio in the upper half-plane")
         q.add_argument("--format", choices=("text", "json", "csv"), default="text")
         q.add_argument("--output", default=None, help="write the report here instead of stdout")
 
-    add_common(sub.add_parser("det", help="log-determinant (up to a constant) at t"), "yes")
-    add_common(sub.add_parser("sigma", help="period ratio from t, or reduce a given sigma"))
-    add_common(sub.add_parser("orbit", help="the six-element moduli orbit of t"), "yes")
-    add_common(sub.add_parser("tau", help="tau function and both determinant routes at t"), "yes")
+    add_common(sub.add_parser("det", help="log-determinant (up to a constant) at t"))
+    add_common(sub.add_parser("sigma", help="period ratio from t, or reduce a given sigma"),
+               sigma_chart=True)
+    add_common(sub.add_parser("orbit", help="the six-element moduli orbit of t"))
+    add_common(sub.add_parser("tau", help="tau function and both determinant routes at t"))
 
     q = sub.add_parser("spectrum", help="low eigenvalues of the cone-metric Laplacian")
-    add_common(q)
+    add_common(q, sigma_chart=True)
     q.add_argument("--grid", type=_power_of_two, default=128)
     q.add_argument("--modes", type=int, default=40)
     q.add_argument("--seed", type=int, default=0)
@@ -168,16 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _need_exactly_one(args) -> None:
-    have_t = getattr(args, "t", None) is not None
-    have_s = getattr(args, "sigma", None) is not None
-    if have_t == have_s:
-        raise DomainError("give exactly one of --t and --sigma")
-
-
 def _cmd_det(args) -> dict:
-    if args.t is None:
-        raise DomainError("det needs --t")
     t = args.t
     sig = sigma_from_t(t)
     return {
@@ -193,7 +166,6 @@ def _cmd_det(args) -> dict:
 
 
 def _cmd_sigma(args) -> dict:
-    _need_exactly_one(args)
     if args.t is not None:
         sig = sigma_from_t(args.t)
         red = reduce_to_fundamental_domain(sig.sigma)
@@ -209,18 +181,16 @@ def _cmd_sigma(args) -> dict:
 
 
 def _cmd_orbit(args) -> dict:
-    if args.t is None:
-        raise DomainError("orbit needs --t")
     orb = g_orbit(args.t)
+    # a member can round to 0 or 1 (1 - t at |t| below the double spacing)
+    members = [validate_t(m) for m in orb.members]
     return {
         "inputs": {"t": args.t},
-        "outputs": {"members": list(orb.members), "canonical": orb.canonical},
+        "outputs": {"members": members, "canonical": orb.canonical},
     }
 
 
 def _cmd_tau(args) -> dict:
-    if args.t is None:
-        raise DomainError("tau needs --t")
     t = args.t
     tau = tau_bergman(t)
     dv, dp = det_value(t), det_prelim(t)
@@ -233,7 +203,6 @@ def _cmd_tau(args) -> dict:
 
 
 def _cmd_spectrum(args) -> dict:
-    _need_exactly_one(args)
     if args.t is not None:
         op = assemble(sigma_from_t(args.t), args.t, args.grid)
         inputs = {"t": args.t, "grid": args.grid, "modes": args.modes, "seed": args.seed}

@@ -15,7 +15,9 @@ The quarter-disk chart
     w(z) = ((1 + z^2) / (1 - z^2))^2
 
 sends the corners i, 0, 1 to 0, 1, oo, and pushes the round density
-4 / (1 + |z|^2)^2 forward to rho exactly.
+4 / (1 + |z|^2)^2 forward to rho exactly.  These sphere-chart functions
+(conformal_map, conformal_map_prime, metric_rho, round_sphere_density,
+gauss_curvature) take one scalar point and return a Python scalar.
 
 The covering mu is an affine image of the Weierstrass function, so
 mu'^2 = C mu (mu - 1)(mu - t) and the pulled-back factor needs mu alone:
@@ -52,73 +54,63 @@ __all__ = [
 ]
 
 
-def conformal_map(z):
-    """The degree-four rational map w(z) = ((1 + z^2) / (1 - z^2))^2.
+def conformal_map(z) -> complex:
+    """The degree-four rational map w(z) = ((1 + z^2) / (1 - z^2))^2 at a scalar z.
 
     On the closed quarter disk {|z| <= 1, 0 <= Arg z <= pi/2} it is a
     bijection onto the closed upper half plane; poles sit at z = +-1.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(z == 1.0) or np.any(z == -1.0):
+    z = complex(z)
+    if z == 1.0 or z == -1.0:
         raise DomainError("conformal map has poles at z = +-1")
     v = (1.0 + z * z) / (1.0 - z * z)
-    out = v * v
-    return complex(out) if out.ndim == 0 else out
+    return v * v
 
 
-def conformal_map_prime(z):
-    """Derivative of the quarter-disk map, w'(z) = 8 z (1 + z^2) / (1 - z^2)^3."""
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(z == 1.0) or np.any(z == -1.0):
+def conformal_map_prime(z) -> complex:
+    """Derivative of the quarter-disk map, w'(z) = 8 z (1 + z^2) / (1 - z^2)^3, at a scalar z."""
+    z = complex(z)
+    if z == 1.0 or z == -1.0:
         raise DomainError("conformal map has poles at z = +-1")
-    out = 8.0 * z * (1.0 + z * z) / (1.0 - z * z) ** 3
-    return complex(out) if out.ndim == 0 else out
+    return 8.0 * z * (1.0 + z * z) / (1.0 - z * z) ** 3
 
 
-def _rho_inverse(w):
-    """|w| |w-1| (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 1 / rho(w), for a scalar or an array."""
-    # det_prelim calls this on Python scalars, where cmath and abs cost a
-    # fifth of numpy's scalar path; np.abs and abs can differ in the last
-    # bit, so metric_rho's arrays stay on numpy throughout
-    sqrt, mod = (np.sqrt, np.abs) if isinstance(w, np.ndarray) else (cmath.sqrt, abs)
-    r = sqrt(w)
-    return mod(w) * mod(w - 1.0) * (mod(r + 1.0) + mod(r - 1.0)) ** 2
+def _rho_inverse(w: complex) -> float:
+    """|w| |w-1| (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 1 / rho(w) at a scalar w."""
+    r = cmath.sqrt(w)
+    return abs(w) * abs(w - 1.0) * (abs(r + 1.0) + abs(r - 1.0)) ** 2
 
 
-def metric_rho(w):
-    """Density of the curvature-one metric on the w-sphere.
+def metric_rho(w) -> float:
+    """Density of the curvature-one metric on the w-sphere, at a scalar w.
 
     rho(w) = 1 / ( |w| |w-1| (|sqrt(w)+1| + |sqrt(w)-1|)^2 ).  The value does
     not depend on the branch of the square root since the two choices only
     swap the summands.  Raises at the conical points w = 0, 1 where the
     density is infinite.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    if np.any(w == 0.0) or np.any(w == 1.0):
+    w = complex(w)
+    if w == 0.0 or w == 1.0:
         raise DomainError("metric density is infinite at the conical points 0, 1")
-    out = 1.0 / _rho_inverse(w)
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / _rho_inverse(w)
 
 
-def round_sphere_density(z):
-    """Density 4 / (1 + |z|^2)^2 of the unit round sphere in a plane chart."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = 4.0 / (1.0 + np.abs(z) ** 2) ** 2
-    return float(out) if out.ndim == 0 else out
+def round_sphere_density(z) -> float:
+    """Density 4 / (1 + |z|^2)^2 of the unit round sphere in a plane chart, at a scalar z."""
+    return 4.0 / (1.0 + abs(complex(z)) ** 2) ** 2
 
 
-def gauss_curvature(w, h: float | None = None) -> float:
+def gauss_curvature(w) -> float:
     """Gauss curvature of rho |dw|^2 at w by finite differences.
 
     K = -(1 / (2 rho)) Lap log rho with the Euclidean Laplacian approximated
     by the Richardson-extrapolated five-point stencil at steps h and 2h.
-    The default step 10^-3 max(1, |w|) grows with |w| because log rho
-    flattens out while 1 / (2 rho) amplifies stencil roundoff.  The point
-    must keep a distance of at least 10 h from the conical points 0 and 1.
+    The step h = 10^-3 max(1, |w|) grows with |w| because log rho flattens
+    out while 1 / (2 rho) amplifies stencil roundoff.  The point must keep a
+    distance of at least 10 h from the conical points 0 and 1.
     """
     wc = complex(w)
-    if h is None:
-        h = 1.0e-3 * max(1.0, abs(wc))
+    h = 1.0e-3 * max(1.0, abs(wc))
     if min(abs(wc), abs(wc - 1.0)) < 10.0 * h:
         raise DomainError(
             f"step {h} too large at w = {wc}: the stencil reaches a conical point"

@@ -32,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .detformula import DetValue
 from .errors import ConvergenceError, DomainError
-from .geometry import ConformalField, conformal_factor_on_torus, grid_pair
+from .geometry import conformal_factor_on_torus, grid_pair
 from .moduli import g_orbit, sigma_from_t, validate_t
 from .specialfn import as_sigma
 
@@ -74,7 +74,6 @@ class AssembledOperator:
     grid_shape: tuple[int, int]
     area: float
     zeta0: float
-    field: ConformalField | None = None
 
 
 @dataclass
@@ -111,21 +110,6 @@ class SpectrumResult:
             "seed": self.seed,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumResult":
-        d = json.loads(text)
-        t = d["t"]
-        return cls(
-            eigenvalues=np.asarray(d["eigenvalues"], dtype=np.float64),
-            grid_shape=tuple(d["grid_shape"]),
-            sigma=complex(d["sigma"][0], d["sigma"][1]),
-            t=None if t is None else complex(t[0], t[1]),
-            diagnostics=(d["diagnostics"]["residual"], d["diagnostics"]["matvecs"]),
-            area=d["area"],
-            zeta0=d["zeta0"],
-            seed=d.get("seed", 0),
-        )
 
 
 def _flat_symbol(sigma: complex, n1: int, n2: int) -> np.ndarray:
@@ -169,7 +153,7 @@ def assemble(sigma, t, grid_shape) -> AssembledOperator:
     field = conformal_factor_on_torus(s, tc, grid_shape)
     return AssembledOperator(
         stiffness=_flat_symbol(s, *field.grid_shape),
-        weight=field.values.reshape(-1).copy(),
+        weight=field.values.reshape(-1),
         sigma=s,
         t=tc,
         grid_shape=field.grid_shape,
@@ -177,7 +161,6 @@ def assemble(sigma, t, grid_shape) -> AssembledOperator:
         # zeta(0) = area/(12 pi) + (1/12)(2 pi/gamma - gamma/2 pi) - 1
         area=2.0 * math.pi,
         zeta0=1.0 / 6.0 - 1.0 / 8.0 - 1.0,
-        field=field,
     )
 
 
@@ -276,25 +259,17 @@ def weyl_check(spec: SpectrumResult) -> float:
     return float(np.polyfit(lam[4:], ks[4:] - 0.5, 1)[0])
 
 
-_GENERATORS = {
-    "1/t": lambda t: 1.0 / t,
-    "1-t": lambda t: 1.0 - t,
-}
+def isospectral_orbit_check(t, t_img, grid_shape, m: int, seed: int = 0) -> float:
+    """Largest relative eigenvalue gap between t and its orbit image t_img.
 
-
-def isospectral_orbit_check(t, generator, grid_shape, m: int, seed: int = 0) -> float:
-    """Largest relative eigenvalue gap between t and its orbit image.
-
-    ``generator`` is one of the strings "1/t", "1-t" or a callable; the
-    image must land in the same moduli orbit, where the two discretizations
-    describe the same surface and differ only by discretization error.
-    Compares the first m nonzero modes.
+    t_img must be a member of the moduli orbit of t, where the two
+    discretizations describe the same surface and differ only by
+    discretization error.  Compares the first m nonzero modes.
     """
     tc = validate_t(t)
-    gen = _GENERATORS.get(generator, generator)
-    t_img = validate_t(gen(tc))
+    t_img = validate_t(t_img)
     if not any(abs(t_img - mem) <= 1e-12 * max(1.0, abs(mem)) for mem in g_orbit(tc).members):
-        raise DomainError("generator output is not in the moduli orbit of t")
+        raise DomainError("t_img is not in the moduli orbit of t")
 
     spec_a = lowest_eigenvalues(assemble(sigma_from_t(tc), tc, grid_shape), m + 1, seed)
     spec_b = lowest_eigenvalues(assemble(sigma_from_t(t_img), t_img, grid_shape), m + 1, seed)

@@ -243,20 +243,21 @@ def suite_curvature(tolerances=None) -> list[CheckResult]:
     return results
 
 
-def suite_spectral(tolerances=None, t: complex = 0.3 + 0.0j, grid: int = 128,
-                   modes: int = 40, seed: int = 0) -> list[CheckResult]:
+def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[CheckResult]:
+    t = 0.3 + 0.0j
     results = []
     op = assemble(sigma_from_t(t), t, grid)
 
     tol = _tol(tolerances, "grid_area")
-    area = op.field.area()
+    # midpoint-rule area of the sampled conformal factor
+    area = float(op.weight.sum()) * op.sigma.imag / op.weight.size
     resid = abs(area - 2.0 * math.pi) / (2.0 * math.pi)
     results.append(
         CheckResult("grid_area", resid < tol, resid, tol, 1,
                     detail=f"area {area:.6f} vs 2*pi")
     )
 
-    spec = lowest_eigenvalues(op, modes, seed=seed)
+    spec = lowest_eigenvalues(op, modes)
 
     tol = _tol(tolerances, "zero_mode")
     resid = spec.diagnostics[0]
@@ -271,7 +272,7 @@ def suite_spectral(tolerances=None, t: complex = 0.3 + 0.0j, grid: int = 128,
     )
 
     tol = _tol(tolerances, "isospectral")
-    resid = isospectral_orbit_check(t, "1-t", grid, 15, seed=seed)
+    resid = isospectral_orbit_check(t, 1.0 - t, grid, 15)
     results.append(CheckResult("isospectral", resid < tol, resid, tol, 15))
     return results
 

@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import math
 import re
 import shlex
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conetorus import cli, sigma_from_t
 from conetorus.cli import main, parse_complex
@@ -41,9 +45,23 @@ def test_parse_complex_forms():
     }
     for text, want in cases.items():
         assert parse_complex(text) == want
-    for bad in ("", "abc", "1+2j", "++i"):
+    for bad in ("", "abc", "1+2j", "1J", "(1+2i)", "++i", "1\ti", "1+\n2i"):
         with pytest.raises(ValueError):
             parse_complex(bad)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite)
+@example(0.0, -0.0)
+@example(-0.0, 0.0)
+@example(-0.0, -0.0)
+@example(5e-324, -2.2250738585072014e-308)
+def test_parse_complex_reads_repr_back_bit_for_bit(a, b):
+    text = f"{a!r}{'+' if math.copysign(1.0, b) > 0 else ''}{b!r}i"
+    z = parse_complex(text)
+    assert struct.pack("<2d", z.real, z.imag) == struct.pack("<2d", a, b), text
 
 
 def test_det_report_and_orbit_equality(capsys):
@@ -84,6 +102,26 @@ def test_exit_code_2_on_domain_errors(capsys):
     capsys.readouterr()
     assert main(["verify", "--suite", "no-such-suite"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["det"], ["orbit"], ["tau"], ["sigma"], ["spectrum"],
+    ["sigma", "--t", "2", "--sigma", "i"],
+    ["spectrum", "--t", "0.3", "--sigma", "i", "--grid", "32"],
+])
+def test_missing_or_duplicated_chart_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: conetorus {argv[0]} ")
+
+
+def test_orbit_member_on_a_branch_point_exits_2(capsys):
+    # 1 - t and 1 / (1 - t) round to exactly 1 at |t| = 1e-18
+    assert main(["orbit", "--t", "1e-18"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: branch point t must avoid 0 and 1")
 
 
 def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):

@@ -64,8 +64,8 @@ def test_chart_corner_values():
 
 
 def test_curvature_at_fixed_points():
-    assert abs(gauss_curvature(2.0 + 1.0j, 1e-3) - 1.0) <= 1e-6
-    assert abs(gauss_curvature(-3.0 + 0.0j, 1e-3) - 1.0) <= 1e-6
+    assert abs(gauss_curvature(2.0 + 1.0j) - 1.0) <= 1e-6
+    assert abs(gauss_curvature(-3.0 + 0.0j) - 1.0) <= 1e-6
 
 
 def test_curvature_random_points_default_step():
@@ -96,7 +96,7 @@ def test_curvature_round_metric_oracle():
 
 def test_curvature_step_guard():
     with pytest.raises(DomainError):
-        gauss_curvature(1.0 + 1e-4j, 1e-3)
+        gauss_curvature(1.0 + 1e-4j)
 
 
 def test_metric_rho_branch_free():
