@@ -19,19 +19,17 @@ sends the corners i, 0, 1 to 0, 1, oo, and pushes the round density
 (conformal_map, conformal_map_prime, metric_rho, round_sphere_density,
 gauss_curvature) take one scalar point and return a Python scalar.
 
-The covering mu is an affine image of the Weierstrass function, so
-mu'^2 = C mu (mu - 1)(mu - t) and the pulled-back factor needs mu alone:
-
-    e^(2 phi) = rho(mu) |mu'|^2 = |C| |mu - t| / (2 (1 + |mu| + |mu - 1|)),
-
-which vanishes to order two at the cone and tends to |C| / 4 at the pole.
+The covering (TorusCovering) and the pulled-back factor e^(2 phi) =
+rho(mu) |mu'|^2 are written in the three even theta functions; the factor
+costs two theta series per grid point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -123,40 +121,28 @@ def gauss_curvature(w) -> float:
     return -lap / (2.0 * metric_rho(wc))
 
 
-def _wp(z, sigma: complex):
-    """Even degree-two elliptic function with a double pole at the origin.
-
-    wp(z) = (theta[1,1] / theta[0,1])^2 evaluated at z + sigma/2: two value
-    series per point.  This is an affine image of the Weierstrass elliptic
-    function of the lattice Z + sigma Z, so the normalized covering built
-    from it is identical to the classical (wp - e_a) / (e_b - e_a) family.
-    """
-    zz = np.asarray(z, dtype=np.complex128) + sigma / 2.0
-    return (theta((1, 1), zz, sigma) / theta((0, 1), zz, sigma)) ** 2
-
-
-# largest distance between the requested t and the branch value recovered
-# from the chosen half-period labeling
+# largest distance, relative to |t|, between t and the chosen labeling's branch value
 _MATCH_TOL = 1.0e-8
-
-# characteristic of the even theta that vanishes at the half periods
-# 1/2, sigma/2, (1+sigma)/2, in the order of TorusCovering._half_periods
-_NULL_CHARS = ((1, 0), (0, 1), (0, 0))
+_TIE_TOL = 1.0e-12  # labelings whose distances differ by less than this tie
 
 
 class TorusCovering:
     """Degree-two covering of the w-sphere by the torus C / (Z + sigma Z).
 
-    The map mu is an affine normalization mu = (wp - e_a) / (e_b - e_a) of an
-    even degree-two elliptic function wp; its four branch points are the
-    half periods, with branch values {0, 1, oo, t}.  The labeling of the
-    half periods (which one is sent to 0, to 1, and to t) is fixed at
-    construction by searching the six assignments for the one whose
-    recovered fourth branch value matches the requested t exactly, not just
-    up to the order-6 group.
+    theta_h is the even theta vanishing at the half period h, n_h = theta_h(0),
+    and a, b, c are the half periods over 0, 1 and t.  Then
+
+        mu = u / (u - v),   u = n_b^2 theta_a(z)^2,   v = n_a^2 theta_b(z)^2,
+        (1 - t) u + t v = (n_a n_b / n_c)^2 theta_c(z)^2,
+        t = +-(n_b / n_c)^4, minus exactly when a = (1+sigma)/2,
+
+    so mu has its double pole at the origin.  The labeling (which half
+    period goes to 0, to 1 and to t) is the one of the six whose branch
+    value matches the requested t, not just up to the order-6 group.
     """
 
-    _HALF_LABELS = ("1/2", "sigma/2", "(1+sigma)/2")
+    # label of each half period and characteristic of the even theta vanishing there
+    _LABELS_AND_CHARS = (("1/2", (1, 0)), ("sigma/2", (0, 1)), ("(1+sigma)/2", (0, 0)))
 
     def __init__(self, sigma, t):
         self.sigma = as_sigma(sigma)
@@ -164,38 +150,37 @@ class TorusCovering:
 
         s = self.sigma
         self._half_periods = (0.5 + 0j, s / 2.0, (1.0 + s) / 2.0)
-        e_vals = [complex(_wp(h, s)) for h in self._half_periods]
-        # wp has a double zero at sigma/2 by construction; pin it exactly
-        e_vals[1] = 0.0 + 0j
-        self._e_vals = tuple(e_vals)
+        n = [theta(char, 0.0, s) for _, char in self._LABELS_AND_CHARS]
 
-        best = None
-        for ia in range(3):
-            for ib in range(3):
-                if ia == ib:
-                    continue
-                ic = 3 - ia - ib
-                t_rec = (e_vals[ic] - e_vals[ia]) / (e_vals[ib] - e_vals[ia])
-                err = abs(t_rec - self.t)
-                if best is None or err < best[0]:
-                    best = (err, ia, ib, ic, t_rec)
-        err, ia, ib, ic, t_rec = best
-        if err > _MATCH_TOL:
+        def branch_value(ia, ib, ic):
+            return (-1.0 if ia == 2 else 1.0) * (n[ib] / n[ic]) ** 4
+
+        # at the orbit's fixed points two labelings reproduce t; rounding must
+        # not pick one, so near-equal errors go to the earliest cone, then 0
+        order = sorted(permutations(range(3)), key=lambda p: (p[2], p[0]))
+        errs = {p: abs(branch_value(*p) - self.t) for p in order}
+        floor = min(errs.values()) + _TIE_TOL * abs(self.t)
+        ia, ib, ic = next(p for p in order if errs[p] <= floor)
+        t_rec, err = branch_value(ia, ib, ic), errs[ia, ib, ic]
+        if err > _MATCH_TOL * abs(self.t):
             raise NormalizationError(
                 f"no half-period labeling reproduces t = {self.t}; closest "
                 f"recovered value {t_rec} differs by {err:.3e} (is (sigma, t) "
                 "a consistent pair?)"
             )
         self._ia, self._ib, self._ic = ia, ib, ic
+        self._n_abc = (n[ia], n[ib], n[ic])
         self.recovered_t = t_rec
+
+    def _theta(self, i, z):
+        """The even theta that vanishes at half period i, at z."""
+        return theta(self._LABELS_AND_CHARS[i][1], z, self.sigma)
 
     @property
     def labeling(self) -> str:
         """Human-readable record of the half-period assignment."""
-        lab = self._HALF_LABELS
-        return (
-            f"0<-{lab[self._ia]} 1<-{lab[self._ib]} t<-{lab[self._ic]} inf<-0"
-        )
+        lab = [label for label, _ in self._LABELS_AND_CHARS]
+        return f"0<-{lab[self._ia]} 1<-{lab[self._ib]} t<-{lab[self._ic]} inf<-0"
 
     @property
     def cone_point(self) -> complex:
@@ -204,17 +189,15 @@ class TorusCovering:
 
     def branch_points(self) -> dict[complex, complex]:
         """Map from ramification point on the torus to its branch value."""
-        out = {0j: complex("inf")}
-        out[self._half_periods[self._ia]] = 0.0 + 0j
-        out[self._half_periods[self._ib]] = 1.0 + 0j
-        out[self._half_periods[self._ic]] = self.recovered_t
-        return out
+        a, b, c = (self._half_periods[i] for i in (self._ia, self._ib, self._ic))
+        return {0j: complex("inf"), a: 0j, b: 1 + 0j, c: self.recovered_t}
 
     def mu(self, z):
         """Value of the covering map at a point or array of points."""
-        ea = self._e_vals[self._ia]
-        eb = self._e_vals[self._ib]
-        return (_wp(z, self.sigma) - ea) / (eb - ea)
+        na, nb, _ = self._n_abc
+        u = (nb * self._theta(self._ia, z)) ** 2
+        v = (na * self._theta(self._ib, z)) ** 2
+        return u / (u - v)
 
 
 @dataclass
@@ -248,18 +231,27 @@ def _grid_points(sigma: complex, n1: int, n2: int) -> np.ndarray:
 
 
 def _e2phi_from_cover(cov: TorusCovering, z: np.ndarray) -> np.ndarray:
-    """Pullback density rho(mu) |mu'|^2 from the covering's algebraic equation.
+    """Pullback density rho(mu) |mu'|^2, in the notation of TorusCovering:
 
-    mu'^2 = C mu (mu - 1)(mu - t) with C = 4 (e_b - e_a), the Weierstrass
-    values over 1 and 0, and |e_b - e_a| = pi^2 |theta_chi(0)|^4 for the
-    even theta_chi vanishing at the cone point.  The branch value is the
-    covering's recovered one, where mu' has its zero.  With
-    (|sqrt(w)+1| + |sqrt(w)-1|)^2 = 2 (1 + |w| + |w-1|) the factors |mu|
-    and |mu - 1| cancel, which leaves no square root and no pole.
+        e^(2 phi) = 2 pi^2 |n_a n_b n_c|^2 |theta_c|^2 / (|u| + |v| + |u - v|),
+
+    since mu - t = (n_a n_b / n_c)^2 theta_c^2 / (u - v).  Two theta series
+    per point: theta_c and one of theta_a, theta_b; the theta relation gives
+    the other of u, v, dividing by the larger of |t| and |1 - t|.  The cone's
+    double zero is theta_c's own; cancellation falls only in the denominator.
     """
-    c_abs = 4.0 * math.pi**2 * abs(theta(_NULL_CHARS[cov._ic], 0.0, cov.sigma)) ** 4
-    mu = cov.mu(z)
-    return c_abs * np.abs(mu - cov.recovered_t) / (2.0 * (1.0 + np.abs(mu) + np.abs(mu - 1.0)))
+    na, nb, nc = cov._n_abc
+    t = cov.recovered_t
+    th_c = cov._theta(cov._ic, z)
+    w = (na * nb / nc * th_c) ** 2
+    if abs(t) >= abs(1.0 - t):
+        u = (nb * cov._theta(cov._ia, z)) ** 2
+        v = (w - (1.0 - t) * u) / t
+    else:
+        v = (na * cov._theta(cov._ib, z)) ** 2
+        u = (w - t * v) / (1.0 - t)
+    scale = 2.0 * math.pi**2 * abs(na * nb * nc) ** 2
+    return scale * np.abs(th_c) ** 2 / (np.abs(u) + np.abs(v) + np.abs(u - v))
 
 
 def grid_pair(grid_shape) -> tuple[int, int]:

@@ -286,6 +286,14 @@ def test_field_dump_writes_loadable_grid(tmp_path, capsys):
     assert "labeling" in out
 
 
+def test_covering_accepts_large_t(tmp_path, capsys):
+    # the labeling check is relative to |t|: t off by 1e-14 relative passes
+    out_file = str(tmp_path / "field.txt")
+    for argv in (["spectrum", "--t", "1e7-1e6i", "--grid", "32", "--modes", "10"],
+                 ["field-dump", "--t", "1e8+1e8i", "--grid", "32", "--output", out_file]):
+        assert run_cli(argv, capsys)[0] == 0
+
+
 def test_version_and_help_exit_zero(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()

@@ -28,6 +28,7 @@ from conetorus import (
     round_sphere_density,
     save_field,
     sigma_from_t,
+    theta,
 )
 from conetorus import geometry
 from conetorus.errors import DomainError, NormalizationError
@@ -262,11 +263,44 @@ def test_conformal_factor_matches_mpmath_oracle():
         assert _oracle_gap(sigma, t) <= 1e-9, (sigma, t)
 
 
-def test_conformal_factor_oracle_rejects_theta00_constant(monkeypatch):
-    # |C| = 4 pi^2 |theta[0,0](0)|^4 whatever half period carries the cone
-    monkeypatch.setattr(geometry, "_NULL_CHARS", ((0, 0),) * 3)
+def test_conformal_factor_oracle_next_to_the_cone_at_1024():
+    # the cone cell is where a difference mu - t used to cancel: 7.2e-9 there
+    t = 0.999 - 0.01j
+    assert _oracle_gap(sigma_from_t(t).sigma, t, n=1024) <= 1e-11
+
+
+def test_conformal_factor_oracle_rejects_theta00_numerator(monkeypatch):
+    # the numerator takes theta[0,0](z) whatever half period carries the cone
+    exact = geometry._e2phi_from_cover
+
+    def mutant(cov, z):
+        wrong = theta((0, 0), z, cov.sigma) / cov._theta(cov._ic, z)
+        return exact(cov, z) * np.abs(wrong) ** 2
+
+    monkeypatch.setattr(geometry, "_e2phi_from_cover", mutant)
     sigma, members = _cone_on_each_half_period(0.3 + 0.25j)
-    assert max(_oracle_gap(sigma, m) for m in members) > 1e-2
+    gaps = sorted(_oracle_gap(sigma, m) for m in members)
+    assert gaps[0] <= 1e-9 and gaps[1] > 1e-2
+
+
+# |t| from 1e-9 to 1e12, next to 1, and the orbit's fixed points 1/2, -1, 2, e^(i pi/3)
+LABELING_T = [0.3 + 0.25j, 0.5, -1.0, 2.0, cmath.exp(1j * math.pi / 3), 1e-6 + 2e-6j,
+              3e-9 - 1e-9j, 1e7 - 1e6j, 1e8 + 1e8j, 7e11 + 1e11j, 0.999 - 0.01j,
+              1.0 + 2e-7j, 30.0 - 20.0j, 0.02, -3.0 + 0.01j, 1e-4j]
+
+
+def test_covering_accepts_every_orbit_member_at_any_scale():
+    for t in LABELING_T:
+        sigma = sigma_from_t(t).sigma
+        for m in g_orbit(t).members:
+            assert abs(TorusCovering(sigma, m).recovered_t - m) <= 1e-12 * abs(m), (t, m)
+
+
+def test_covering_rejects_a_period_ratio_of_a_nearby_t():
+    for t in LABELING_T:
+        for m in g_orbit(t).members:
+            with pytest.raises(NormalizationError):
+                TorusCovering(sigma_from_t(m * (1.0 + 1e-6)), m)
 
 
 def test_area_converges_to_2pi():
