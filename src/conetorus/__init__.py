@@ -33,16 +33,13 @@ from .moduli import (
 from .detformula import (
     DetValue,
     F,
-    LocalTaylorData,
     b_minus_inf_closed,
     b_minus_inf_from_AB,
     det_prelim,
     det_value,
     flat_det,
-    s_from_t,
     schiffer_b0,
     tau_bergman,
-    taylor_AB,
 )
 from .geometry import (
     ConformalField,
@@ -82,7 +79,6 @@ __all__ = [
     "DomainError",
     "F",
     "GOrbit",
-    "LocalTaylorData",
     "NormalizationError",
     "PeriodRatio",
     "SpectrumResult",
@@ -109,14 +105,12 @@ __all__ = [
     "reduce_to_fundamental_domain",
     "round_sphere_density",
     "run_suite",
-    "s_from_t",
     "same_moduli_point",
     "save_field",
     "schiffer_b0",
     "sigma_from_t",
     "t_from_sigma",
     "tau_bergman",
-    "taylor_AB",
     "theta",
     "unimodular_equivalent",
     "validate_t",

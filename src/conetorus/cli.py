@@ -213,7 +213,16 @@ def _cmd_spectrum(args) -> dict:
     spec = lowest_eigenvalues(op, args.modes, seed=args.seed)
     return {
         "inputs": inputs,
-        "outputs": json.loads(spec.to_json()),
+        "outputs": {
+            "area": spec.area,
+            "diagnostics": {"matvecs": spec.diagnostics[1], "residual": spec.diagnostics[0]},
+            "eigenvalues": [float(v) for v in spec.eigenvalues],
+            "grid_shape": list(spec.grid_shape),
+            "seed": spec.seed,
+            "sigma": [spec.sigma.real, spec.sigma.imag],
+            "t": None if spec.t is None else [spec.t.real, spec.t.imag],
+            "zeta0": spec.zeta0,
+        },
         "residuals": {"zero_mode": spec.diagnostics[0]},
     }
 

@@ -23,7 +23,6 @@ isospectrality across a moduli-group orbit, and a coarse estimate of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .detformula import DetValue
 from .errors import ConvergenceError, DomainError
 from .geometry import conformal_factor_on_torus, grid_pair
-from .moduli import g_orbit, sigma_from_t, validate_t
+from .moduli import g_orbit, validate_t
 from .specialfn import as_sigma
 
 __all__ = [
@@ -94,22 +93,6 @@ class SpectrumResult:
     area: float
     zeta0: float
     seed: int = 0
-
-    def to_json(self) -> str:
-        payload = {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "grid_shape": list(self.grid_shape),
-            "sigma": [self.sigma.real, self.sigma.imag],
-            "t": None if self.t is None else [self.t.real, self.t.imag],
-            "diagnostics": {
-                "residual": self.diagnostics[0],
-                "matvecs": self.diagnostics[1],
-            },
-            "area": self.area,
-            "zeta0": self.zeta0,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _flat_symbol(sigma: complex, n1: int, n2: int) -> np.ndarray:
@@ -259,20 +242,18 @@ def weyl_check(spec: SpectrumResult) -> float:
     return float(np.polyfit(lam[4:], ks[4:] - 0.5, 1)[0])
 
 
-def isospectral_orbit_check(t, t_img, grid_shape, m: int, seed: int = 0) -> float:
-    """Largest relative eigenvalue gap between t and its orbit image t_img.
+def isospectral_orbit_check(spec_a: SpectrumResult, spec_b: SpectrumResult, m: int) -> float:
+    """Largest relative gap between the first m nonzero modes of two spectra.
 
-    t_img must be a member of the moduli orbit of t, where the two
-    discretizations describe the same surface and differ only by
-    discretization error.  Compares the first m nonzero modes.
+    spec_b.t must be a member of the moduli orbit of spec_a.t, where the
+    two discretizations describe the same surface and differ only by
+    discretization error.
     """
-    tc = validate_t(t)
-    t_img = validate_t(t_img)
-    if not any(abs(t_img - mem) <= 1e-12 * max(1.0, abs(mem)) for mem in g_orbit(tc).members):
-        raise DomainError("t_img is not in the moduli orbit of t")
-
-    spec_a = lowest_eigenvalues(assemble(sigma_from_t(tc), tc, grid_shape), m + 1, seed)
-    spec_b = lowest_eigenvalues(assemble(sigma_from_t(t_img), t_img, grid_shape), m + 1, seed)
+    if not any(abs(spec_b.t - mem) <= 1e-12 * max(1.0, abs(mem))
+               for mem in g_orbit(spec_a.t).members):
+        raise DomainError("spec_b.t is not in the moduli orbit of spec_a.t")
+    if min(spec_a.eigenvalues.size, spec_b.eigenvalues.size) < m + 1:
+        raise DomainError(f"both spectra must hold at least {m} nonzero modes")
     la, lb = spec_a.eigenvalues[1:m + 1], spec_b.eigenvalues[1:m + 1]
     return float(np.max(np.abs(la - lb) / la))
 

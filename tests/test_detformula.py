@@ -3,8 +3,8 @@
 Frozen anchors:
 
     F(1/2) = F(2) = F(-1) = 2^(-1/3) = 0.7937005259840998
-    b(-oo)(t=4) = 5/48                 (exact rational from the Taylor data)
-    s_from_t(-0.28 + 0.96 i) = (1+i)/2 (since w((1+i)/2) = ((1+i/2)/(1-i/2))^2)
+    b(-oo)(t=4) = 5/48                 (exact in the quarter-disk chart:
+                                        q = s^2 = 1/3, s w'(s) = 12, w''(s) = 162)
 
 Regression baselines (deterministic, no closed form):
 
@@ -25,17 +25,16 @@ from conetorus import (
     b_minus_inf_closed,
     b_minus_inf_from_AB,
     conformal_map,
+    conformal_map_prime,
     det_prelim,
     det_value,
     detformula,
     flat_det,
     g_orbit,
-    s_from_t,
     schiffer_b0,
     sigma_from_t,
     specialfn,
     tau_bergman,
-    taylor_AB,
 )
 from conetorus.detformula import TAU_BASE_POINT, DetValue
 from conetorus.errors import DomainError
@@ -142,35 +141,34 @@ def test_det_value_composition():
         assert abs(det_value(t).log_value - expect) <= 1e-13
 
 
-def test_s_from_t_literal_and_residual():
-    s = s_from_t(-0.28 + 0.96j)
-    assert abs(s - (0.5 + 0.5j)) <= 1e-12
-    rng = np.random.default_rng(35)
-    for t in upper_t(rng, 25):
-        s = s_from_t(t)
-        assert abs(s) <= 1.0 + 1e-9
-        assert s.real >= -1e-9 and s.imag >= -1e-9
-        assert abs(conformal_map(s) - t) <= 1e-12 * max(1.0, abs(t))
-
-
-def test_s_from_t_rejects_lower_half_plane():
-    with pytest.raises(DomainError):
-        s_from_t(0.3 - 0.4j)
-
-
 def test_b_minus_inf_rational_literal():
-    # at t = 4 the preimage and Taylor data are algebraic and b(-oo) = 5/48
-    val = b_minus_inf_from_AB(4.0)
-    assert abs(val - 5.0 / 48.0) <= 1e-12
+    # at t = 4 every quantity of the chart route is rational and b(-oo) = 5/48
+    assert b_minus_inf_from_AB(4.0) == 5.0 / 48.0
     assert abs(b_minus_inf_closed(4.0) - 5.0 / 48.0) <= 1e-15
 
 
-def test_b_minus_inf_dual_routes_agree():
+def b_dual_gap(b_chart):
+    """Largest gap between a chart route and the closed form, verify's b_dual samples."""
     rng = np.random.default_rng(36)
-    for t in upper_t(rng, 30):
-        a_route = b_minus_inf_from_AB(t)
-        c_route = b_minus_inf_closed(t)
-        assert abs(a_route - c_route) <= 1e-8
+    return max(abs(b_chart(t) - b_minus_inf_closed(t)) for t in upper_t(rng, 30))
+
+
+def chart_q_and_p(t):
+    """q = s^2 for a preimage s of t under the quarter-disk map, and P = s w'(s)."""
+    s = cmath.sqrt((t - 1.0) / (cmath.sqrt(t) + 1.0) ** 2)
+    return s * s, s * conformal_map_prime(s)
+
+
+def test_b_minus_inf_dual_routes_agree():
+    assert b_dual_gap(b_minus_inf_from_AB) <= 1e-8
+
+
+def test_b_dual_rejects_dropped_model_term():
+    def without_model_term(t):
+        q, p = chart_q_and_p(t)
+        return b_minus_inf_from_AB(t) - abs(q) / (2.0 * (1.0 + abs(q)) * p)
+
+    assert b_dual_gap(without_model_term) > 1e-2
 
 
 def small_t_b_dual_gap(b_closed):
@@ -196,21 +194,29 @@ def test_small_t_b_dual_rejects_dropped_density_term():
 
 
 def test_taylor_reversion_order():
-    # u = A x + B x^3 + O(x^5): the log-log residual slope is close to 5;
-    # radii start at 3e-3 to stay above the double-precision residual floor
+    # fit u = A x + B x^3 + ... from the chart itself, with x^2 = w - t and
+    # u^2 = z - s: the fitted A, B reproduce the chart route's b(-oo), and the
+    # log-log residual slope of the two-term truncation is close to 5; radii
+    # start at 3e-3 to stay above the double-precision residual floor
     rng = np.random.default_rng(37)
-    for t in upper_t(rng, 5):
-        data = taylor_AB(t)
-        theta_dir = rng.uniform(0.0, 2.0 * math.pi)
+    for t in upper_t(rng, 5) + [z.conjugate() for z in upper_t(rng, 3)]:
+        q, _ = chart_q_and_p(t)
+        s = cmath.sqrt(q)
         sizes = np.geomspace(3e-3, 3e-2, 6)
-        resid = []
-        for r in sizes:
-            u = r * cmath.exp(1j * theta_dir)
-            w = conformal_map(data.s + u * u)
-            x = cmath.sqrt(w - t)
-            if abs(x - u / data.A) > abs(x + u / data.A):
+        us = sizes * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        xs = []
+        for u in us:
+            x = cmath.sqrt(conformal_map(s + u * u) - t)
+            # one sign of x along the ray, so u / x stays on one branch
+            if xs and abs(u / x - us[0] / xs[0]) > abs(u / x + us[0] / xs[0]):
                 x = -x
-            resid.append(abs(u - (data.A * x + data.B * x ** 3)))
+            xs.append(x)
+        xs = np.array(xs)
+        fit = np.linalg.lstsq(np.vander(xs ** 2, 4, increasing=True), us / xs, rcond=None)[0]
+        A, B = fit[0], fit[1]
+        b_fit = A * A * s.conjugate() / (2.0 * (1.0 + abs(q))) - B / A
+        assert abs(b_fit - b_minus_inf_from_AB(t)) <= 1e-6 * abs(b_minus_inf_from_AB(t))
+        resid = np.abs(us - (A * xs + B * xs ** 3))
         slope = np.polyfit(np.log(sizes), np.log(resid), 1)[0]
         assert slope >= 4.7
 

@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 from conetorus import (
     SpectrumResult,
     assemble,
+    cli,
     det_value,
     flat_det,
     flat_operator,
@@ -221,15 +222,23 @@ def test_seed_reproducibility():
     assert np.allclose(a.eigenvalues[1:], c.eigenvalues[1:], rtol=1e-9)
 
 
-def test_spectrum_json_roundtrip():
+def test_spectrum_json_roundtrip(capsys):
+    # the CLI's JSON report carries every SpectrumResult field, floats at 15 digits
     spec = lowest_eigenvalues(flat_operator(1j, 32), 10, seed=1)
-    d = json.loads(spec.to_json())
-    assert np.array_equal(np.asarray(d["eigenvalues"]), spec.eigenvalues)
+    assert cli.main(["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10",
+                     "--seed", "1", "--format", "json"]) == 0
+    d = json.loads(capsys.readouterr().out)["outputs"]
+
+    def printed(x):
+        return float(format(x, ".15g"))
+
+    assert [float(v) for v in d["eigenvalues"]] == [printed(v) for v in spec.eigenvalues]
     assert tuple(d["grid_shape"]) == spec.grid_shape
-    assert complex(*d["sigma"]) == spec.sigma
+    assert complex(*map(float, d["sigma"])) == spec.sigma
     assert d["t"] is None
-    assert (d["diagnostics"]["residual"], d["diagnostics"]["matvecs"]) == spec.diagnostics
-    assert d["area"] == spec.area and d["zeta0"] == spec.zeta0
+    assert float(d["diagnostics"]["residual"]) == printed(spec.diagnostics[0])
+    assert d["diagnostics"]["matvecs"] == spec.diagnostics[1]
+    assert float(d["area"]) == spec.area and float(d["zeta0"]) == spec.zeta0
     assert d["seed"] == 1
 
 
@@ -278,16 +287,26 @@ def test_weyl_needs_thirty_modes():
         weyl_check(spec)
 
 
+def cone_spectrum(t, grid, modes):
+    return lowest_eigenvalues(assemble(sigma_from_t(t), t, grid), modes, seed=0)
+
+
 def test_isospectral_two_vs_half():
-    gap = isospectral_orbit_check(2.0 + 0.0j, 0.5 + 0.0j, 192, 15, seed=0)
+    gap = isospectral_orbit_check(cone_spectrum(2.0 + 0.0j, 192, 16),
+                                  cone_spectrum(0.5 + 0.0j, 192, 16), 15)
     assert gap <= 1e-2
 
 
 def test_isospectral_identity_and_guard():
-    gap = isospectral_orbit_check(0.3 + 0.4j, 0.3 + 0.4j, 64, 10, seed=0)
-    assert gap == 0.0
+    spec = cone_spectrum(0.3 + 0.4j, 64, 11)
+    assert isospectral_orbit_check(spec, spec, 10) == 0.0
     with pytest.raises(DomainError):
-        isospectral_orbit_check(0.3 + 0.4j, 0.35 + 0.4j, 64, 10)
+        isospectral_orbit_check(spec, cone_spectrum(0.35 + 0.4j, 64, 11), 10)
+    # the orbit guard allows 1e-12 max(1, |t|) of rounding
+    moved = dataclasses.replace(spec, t=spec.t * (1.0 + 5e-13))
+    assert isospectral_orbit_check(spec, moved, 10) == 0.0
+    with pytest.raises(DomainError):
+        isospectral_orbit_check(spec, spec, 11)
 
 
 def test_zeta_estimate_guards(spec_t03_256):
