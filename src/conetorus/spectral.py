@@ -16,6 +16,13 @@ K is a periodic constant-coefficient stencil, diagonal under the 2-d DFT,
 and is stored as its symbol: the eigensolver runs Lanczos on FFT matvecs
 and never forms a matrix.
 
+The deck involution z -> -z of the double cover of the sphere is, on the
+cell-centred grid, reversal of the flattened array.  K (its symbol is even
+in frequency) and W (made exactly reversal-symmetric by ``assemble``)
+commute with it, so the spectrum is the union of an even and an odd
+sector.  Each sector is solved by its own Lanczos run on half-length
+vectors; the FFTs stay full size.
+
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
 -zeta'(0) from a tail-completed spectral zeta.
@@ -46,9 +53,12 @@ __all__ = [
     "zeta_det_estimate",
 ]
 
-# eigenpairs whose residual every solve measures; their vectors come from a
-# second Lanczos run this small, so the check's memory does not grow with m
-_CHECKED_PAIRS = 4
+# signs of the reversal i -> n-1-i on the even and the odd sector
+_SECTOR_SIGNS = (1.0, -1.0)
+# modes asked of each sector beyond half the nonzero modes of the solve
+_SECTOR_MARGIN = 2
+# lowest eigenpairs of each sector whose residual every solve measures
+_CHECKED_PAIRS = 2
 
 # zeta_det_estimate averages over cutoffs in this top fraction of the modes
 _AVERAGE_WINDOW = 0.25
@@ -81,8 +91,9 @@ class SpectrumResult:
 
     ``eigenvalues`` is ascending and starts with the exact zero mode.
     ``diagnostics`` is (residual, matvecs): the largest relative residual
-    |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs,
-    and the number of operator applications the solve took.
+    |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs
+    (the two lowest of each sector), and the number of full-grid operator
+    applications the solve took, summed over both sectors and any re-solve.
     """
 
     eigenvalues: np.ndarray
@@ -127,16 +138,18 @@ def assemble(sigma, t, grid_shape) -> AssembledOperator:
     """Discretize the cone-metric eigenproblem on an n1 x n2 periodic grid.
 
     Returns the symbol of the flat Dirichlet form's stiffness and the
-    diagonal weight of conformal-factor samples.  The weight entry nearest
-    the cone point is small but positive (half-cell grid offset); it is
-    deliberately kept, which realizes the Friedrichs extension.
+    diagonal weight of conformal-factor samples, averaged with its reversal
+    so that it is exactly even under the deck involution.  The weight entry
+    nearest the cone point is small but positive (half-cell grid offset); it
+    is deliberately kept, which realizes the Friedrichs extension.
     """
     s = as_sigma(sigma)
     tc = validate_t(t)
     field = conformal_factor_on_torus(s, tc, grid_shape)
+    w = field.values.reshape(-1)
     return AssembledOperator(
         stiffness=_flat_symbol(s, *field.grid_shape),
-        weight=field.values.reshape(-1),
+        weight=0.5 * (w + w[::-1]),
         sigma=s,
         t=tc,
         grid_shape=field.grid_shape,
@@ -162,16 +175,55 @@ def flat_operator(sigma, grid_shape) -> AssembledOperator:
     )
 
 
+def _sector_maps(n: int, sign: float):
+    """Isometric embedding of one sector of the reversal i -> n-1-i, and its transpose.
+
+    A sector vector u holds h = n // 2 entries, plus the fixed middle entry
+    last in the even sector of odd n, and embeds as
+    x = [u[:h] / sqrt 2, (middle), sign u[:h][::-1] / sqrt 2].
+    Returns (embed, restrict, dimension).
+    """
+    h = n // 2
+    dim = n - h if sign > 0 else h
+    r = math.sqrt(0.5)
+
+    def embed(u):
+        x = np.zeros(n)
+        x[:h] = r * u[:h]
+        x[n - h:] = (sign * r) * u[:h][::-1]
+        x[h:dim] = u[h:]
+        return x
+
+    def restrict(x):
+        u = np.empty(dim)
+        u[:h] = r * (x[:h] + sign * x[n - h:][::-1])
+        u[h:] = x[h:dim]
+        return u
+
+    return embed, restrict, dim
+
+
 def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> SpectrumResult:
     """First m eigenvalues (zero mode included) of K psi = lambda W psi.
 
     The constant vector spans the kernel of K, so lambda_0 = 0 exactly; the
     others are reciprocals of the top eigenvalues of
-    B = K^(+1/2) (W - w w^T / sum w) K^(+1/2), found by Lanczos and
-    deterministic for a fixed seed through the pinned starting vector.  A
-    second Lanczos run supplies _CHECKED_PAIRS eigenvectors; their residual
-    with the solve's eigenvalues, measured with K and W, must stay below
-    1e-8.  Requires 10 <= m <= (number of grid points) / 10.
+    B = K^(+1/2) (W - w w^T / sum w) K^(+1/2).  B commutes with the
+    reversal of the flattened grid (the deck involution z -> -z), and each
+    of its even and odd sectors gets one Lanczos run for
+    ceil((m - 1) / 2) + 2 modes; the lowest m - 1 of the merged lists are
+    kept.  The runs are deterministic for a fixed seed through the pinned
+    starting vector.
+
+    Coverage guard: the merged cutoff must not exceed the largest
+    eigenvalue computed in either sector, or that sector could hold a mode
+    below it that was not computed; a sector that falls short is solved
+    again with twice the modes, up to its dimension, and ConvergenceError
+    is raised if even that does not cover the cutoff.  The two lowest
+    eigenpairs of each sector, from the same runs, must have a residual
+    below 1e-8, measured with K and W on the full grid.  Requires
+    10 <= m <= (number of grid points) / 10 and a weight exactly even under
+    the reversal (DomainError otherwise).
     """
     n1, n2 = op.grid_shape
     n = n1 * n2
@@ -180,6 +232,9 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     if m > n // 10:
         raise DomainError(f"m = {m} too large for a {n1}x{n2} grid; "
                           "need m <= grid points / 10")
+    if not np.array_equal(op.weight, op.weight[::-1]):
+        raise DomainError("weight must be exactly even under the deck involution "
+                          "(reversal of the flattened grid)")
     symbol = op.stiffness
     nonzero = symbol.ravel()[1:]
     if symbol[0, 0] != 0.0 or not np.all(nonzero > 0.0):
@@ -188,32 +243,52 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     inv_root.ravel()[1:] = 1.0 / np.sqrt(nonzero)
     w = op.weight.reshape(n1, n2)
     w_total = float(w.sum())
+    v0 = np.random.default_rng(seed).standard_normal(n)
     matvecs = 0
 
-    def apply_b(u):
+    def apply_b(x):
         nonlocal matvecs
         matvecs += 1
-        x = _fourier_multiply(inv_root, u.reshape(n1, n2))
-        y = w * x
+        y = w * _fourier_multiply(inv_root, x.reshape(n1, n2))
         y -= w * (y.sum() / w_total)
         return _fourier_multiply(inv_root, y).ravel()
 
-    b_op = LinearOperator((n, n), matvec=apply_b, dtype=np.float64)
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    mu = eigsh(b_op, k=m - 1, which="LA", v0=v0, tol=0.0, return_eigenvectors=False)
-    if not np.all(mu > 0.0):
-        raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda")
-    lam = np.sort(1.0 / mu)
+    maps = [_sector_maps(n, sign) for sign in _SECTOR_SIGNS]
 
-    residual = 0.0
-    mu_check, vecs = eigsh(b_op, k=_CHECKED_PAIRS, which="LA", v0=v0, tol=0.0)
-    for mu_j, u in zip(mu_check, vecs.T):
-        psi = _fourier_multiply(inv_root, u.reshape(n1, n2))
-        psi -= (w * psi).sum() / w_total
-        lam_j = lam[np.argmin(np.abs(lam - 1.0 / mu_j))]
-        w_psi = lam_j * w * psi
-        residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
-                                       / np.linalg.norm(w_psi)))
+    def solve_sector(i, k):
+        embed, restrict, dim = maps[i]
+        b_op = LinearOperator((dim, dim), matvec=lambda u: restrict(apply_b(embed(u))),
+                              dtype=np.float64)
+        mu, vecs = eigsh(b_op, k=k, which="LA", v0=restrict(v0), tol=0.0)
+        if not np.all(mu > 0.0):
+            raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda")
+        lam_s = 1.0 / mu
+        residual = 0.0
+        # ascending mu: the lowest eigenpairs come last
+        for lam_j, u in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
+            psi = _fourier_multiply(inv_root, embed(u).reshape(n1, n2))
+            psi -= (w * psi).sum() / w_total
+            w_psi = lam_j * w * psi
+            residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
+                                           / np.linalg.norm(w_psi)))
+        return lam_s, residual
+
+    # m // 2 = ceil((m - 1) / 2), and eigsh needs k < dim
+    ks = [min(m // 2 + _SECTOR_MARGIN, dim - 1) for _, _, dim in maps]
+    sectors = [solve_sector(i, k) for i, k in enumerate(ks)]
+    while True:
+        lam = np.sort(np.concatenate([lam_s for lam_s, _ in sectors]))[:m - 1]
+        short = [i for i, (lam_s, _) in enumerate(sectors) if lam_s.max() < lam[-1]]
+        if not short:
+            break
+        for i in short:
+            k_max = maps[i][2] - 1
+            if ks[i] >= k_max:
+                raise ConvergenceError("a parity sector cannot cover the requested modes")
+            ks[i] = min(2 * ks[i], k_max)
+            sectors[i] = solve_sector(i, ks[i])
+
+    residual = max(r for _, r in sectors)
     if not residual <= 1.0e-8:
         raise ConvergenceError(f"eigenpairs not resolved: relative residual {residual:.3e}")
     return SpectrumResult(

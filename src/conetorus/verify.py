@@ -12,12 +12,14 @@ Suites:
   variational  the two b(-inf) routes, d/dt log det = (b(0) - b(-inf))/2,
                and det_prelim - det_value constancy
   curvature    pushforward of the round metric, Gauss curvature = 1
-  spectral     solver residual, Weyl slope, orbit isospectrality, grid area
+  spectral     solver residual, Weyl slope, isospectrality of t and
+               1/(1-t) (grids that are not transposes), grid area
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from .detformula import (
     det_value,
     schiffer_b0,
 )
+from .errors import BranchConventionWarning
 from .geometry import (
     conformal_map,
     conformal_map_prime,
@@ -244,6 +247,14 @@ def suite_curvature(tolerances=None) -> list[CheckResult]:
 
 
 def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[CheckResult]:
+    """Grid area, solver residual, Weyl slope and orbit isospectrality at t = 0.3.
+
+    The isospectral check compares t with its orbit member 1/(1-t), whose
+    period ratio has a different real part, so the two grids are not
+    transposes of each other and the residual is the discretization's own
+    gap (3.8e-3 at 128^2).  At 64^2 that gap is 1.5e-2, above the 1e-2
+    tolerance: the check needs grid >= 128.
+    """
     t = 0.3 + 0.0j
     results = []
     op = assemble(sigma_from_t(t), t, grid)
@@ -272,7 +283,12 @@ def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[Ch
     )
 
     tol = _tol(tolerances, "isospectral")
-    image = lowest_eigenvalues(assemble(sigma_from_t(1.0 - t), 1.0 - t, grid), 16)
+    t_image = 1.0 / (1.0 - t)
+    with warnings.catch_warnings():
+        # t_image lies on the real cut (1, oo); the limits from either side
+        # are mirror images of one surface and share its spectrum
+        warnings.simplefilter("ignore", BranchConventionWarning)
+        image = lowest_eigenvalues(assemble(sigma_from_t(t_image), t_image, grid), 16)
     resid = isospectral_orbit_check(spec, image, 15)
     results.append(CheckResult("isospectral", resid < tol, resid, tol, 15))
     return results

@@ -27,13 +27,11 @@ def spec_t07_256():
 
 @pytest.fixture
 def wrong_eigenvalues(monkeypatch):
-    """Eigenvalue-only eigsh calls return values off by 1e-6; calls with vectors stay exact."""
+    """eigsh returns eigenvalues off by 1e-6 relative, with exact eigenvectors."""
     solve = spectral.eigsh
 
     def wrong(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        if isinstance(out, tuple):
-            return out
-        return out * (1.0 + 1.0e-6)
+        values, vectors = solve(*args, **kwargs)
+        return values * (1.0 + 1.0e-6), vectors
 
     monkeypatch.setattr(spectral, "eigsh", wrong)

@@ -22,17 +22,20 @@ from conetorus import (
     SpectrumResult,
     assemble,
     cli,
+    conformal_factor_on_torus,
     det_value,
     flat_det,
     flat_operator,
     isospectral_orbit_check,
     lowest_eigenvalues,
     sigma_from_t,
+    spectral,
     weyl_check,
     zeta_det_estimate,
 )
 from conetorus.errors import ConvergenceError, DomainError
 from conetorus.spectral import _fourier_multiply
+from conetorus.verify import suite_spectral
 
 
 def cut_modes(spec, m_keep):
@@ -143,6 +146,10 @@ ORACLE_CASES = {
     "curved": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, 64),
     "flat": lambda: flat_operator(sigma_from_t(T_ORACLE), 64),
     "curved_64x128": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (64, 128)),
+    # odd sides: at 33 x 35 the reversal of the flattened grid fixes the
+    # middle entry, which belongs to the even sector
+    "curved_33x35": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (33, 35)),
+    "curved_63x64": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (63, 64)),
 }
 
 
@@ -162,6 +169,61 @@ def test_sparse_oracle_rejects_symbol_without_cross_term():
     assert abs(op.sigma.real) > 0.1
     mutant = dataclasses.replace(op, stiffness=op.stiffness - cross_term(op.sigma, 64, 64))
     assert oracle_gap(mutant) > 1e-3
+
+
+def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
+    # embedding the odd sector with sign +1 solves the even sector twice
+    monkeypatch.setattr(spectral, "_SECTOR_SIGNS", (1.0, 1.0))
+    assert oracle_gap(ORACLE_CASES["curved"]()) > 1e-3
+
+
+def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
+    # without the margin each sector is asked for 7 of the 14 nonzero modes;
+    # they split unevenly here, so one sector is solved again with k = 14
+    monkeypatch.setattr(spectral, "_SECTOR_MARGIN", 0)
+    ks = []
+    solve = spectral.eigsh
+
+    def counted(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
+    assert oracle_gap(ORACLE_CASES["curved"](), m=15) <= 1e-10
+    assert ks == [7, 7, 14]
+
+
+def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
+    # a sector whose solves never reach the merged cutoff: k doubles up to
+    # the sector dimension 512 - 1, then the solve raises instead of
+    # returning an incomplete list
+    ks = []
+
+    def short_sector(b_op, k, **kwargs):
+        ks.append(k)
+        lam = 2.0 + 0.01 * np.arange(k) if len(ks) == 2 else 1.0 + 0.01 * np.arange(3)
+        return np.sort(1.0 / lam), np.eye(b_op.shape[0], lam.size)
+
+    monkeypatch.setattr(spectral, "eigsh", short_sector)
+    with pytest.raises(ConvergenceError, match="cannot cover"):
+        lowest_eigenvalues(flat_operator(1j, 32), 10)
+    assert ks == [7, 7, 14, 28, 56, 112, 224, 448, 511]
+
+
+def test_assembled_weight_exactly_even():
+    for grid in (64, (33, 35)):
+        op = assemble(sigma_from_t(T_ORACLE), T_ORACLE, grid)
+        assert np.array_equal(op.weight, op.weight[::-1])
+        raw = conformal_factor_on_torus(sigma_from_t(T_ORACLE), T_ORACLE, grid).values.ravel()
+        assert np.max(np.abs(op.weight - raw) / raw) <= 1e-14
+
+
+def test_asymmetric_weight_rejected():
+    op = ORACLE_CASES["curved"]()
+    w = op.weight.copy()
+    w[0] = np.nextafter(w[0], np.inf)
+    with pytest.raises(DomainError):
+        lowest_eigenvalues(dataclasses.replace(op, weight=w), 16)
 
 
 def test_assembled_operator_structure():
@@ -295,6 +357,14 @@ def test_isospectral_two_vs_half():
     gap = isospectral_orbit_check(cone_spectrum(2.0 + 0.0j, 192, 16),
                                   cone_spectrum(0.5 + 0.0j, 192, 16), 15)
     assert gap <= 1e-2
+
+
+def test_spectral_suite_isospectral_is_not_a_transpose():
+    # t = 0.3 against 1/(1-t): the residual is a discretization gap, far
+    # above the 3e-15 of the grid-transpose pair 0.3 / 0.7
+    checks = {c.name: c for c in suite_spectral()}
+    assert all(c.passed for c in checks.values())
+    assert checks["isospectral"].residual > 1e-4
 
 
 def test_isospectral_identity_and_guard():
