@@ -21,7 +21,7 @@ gauss_curvature) take one scalar point and return a Python scalar.
 
 The covering (TorusCovering) and the pulled-back factor e^(2 phi) =
 rho(mu) |mu'|^2 are written in the three even theta functions; the factor
-costs two theta series per grid point.
+costs two theta series per grid point, each one matrix product on the grid.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DomainError, NormalizationError
 from .moduli import validate_t
 from .numdiff import laplacian5
-from .specialfn import as_sigma, theta
+from .specialfn import _theta_grid, as_sigma, theta
 
 __all__ = [
     "conformal_map",
@@ -224,31 +224,30 @@ class ConformalField:
         return float(self.values.sum()) * self.sigma.imag / (n1 * n2)
 
 
-def _grid_points(sigma: complex, n1: int, n2: int) -> np.ndarray:
-    p = (np.arange(n1) + 0.5) / n1
-    q = (np.arange(n2) + 0.5) / n2
-    return p[:, None] + sigma * q[None, :]
+def _grid_coords(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centres p_j = (j + 1/2) / n1, q_k = (k + 1/2) / n2 of z = p_j + sigma q_k."""
+    return (np.arange(n1) + 0.5) / n1, (np.arange(n2) + 0.5) / n2
 
 
-def _e2phi_from_cover(cov: TorusCovering, z: np.ndarray) -> np.ndarray:
+def _e2phi_from_cover(cov: TorusCovering, theta_at) -> np.ndarray:
     """Pullback density rho(mu) |mu'|^2, in the notation of TorusCovering:
 
         e^(2 phi) = 2 pi^2 |n_a n_b n_c|^2 |theta_c|^2 / (|u| + |v| + |u - v|),
 
-    since mu - t = (n_a n_b / n_c)^2 theta_c^2 / (u - v).  Two theta series
-    per point: theta_c and one of theta_a, theta_b; the theta relation gives
-    the other of u, v, dividing by the larger of |t| and |1 - t|.  The cone's
-    double zero is theta_c's own; cancellation falls only in the denominator.
+    since mu - t = (n_a n_b / n_c)^2 theta_c^2 / (u - v), theta_h = theta_at(h).
+    Two theta series per point: theta_c and one of theta_a, theta_b; the theta
+    relation gives the other of u, v, dividing by the larger of |t| and |1 - t|.
+    The cone's double zero is theta_c's own; cancellation falls only in the denominator.
     """
     na, nb, nc = cov._n_abc
     t = cov.recovered_t
-    th_c = cov._theta(cov._ic, z)
+    th_c = theta_at(cov._ic)
     w = (na * nb / nc * th_c) ** 2
     if abs(t) >= abs(1.0 - t):
-        u = (nb * cov._theta(cov._ia, z)) ** 2
+        u = (nb * theta_at(cov._ia)) ** 2
         v = (w - (1.0 - t) * u) / t
     else:
-        v = (na * cov._theta(cov._ib, z)) ** 2
+        v = (na * theta_at(cov._ib)) ** 2
         u = (w - t * v) / (1.0 - t)
     scale = 2.0 * math.pi**2 * abs(na * nb * nc) ** 2
     return scale * np.abs(th_c) ** 2 / (np.abs(u) + np.abs(v) + np.abs(u - v))
@@ -278,8 +277,8 @@ def conformal_factor_on_torus(sigma, t, grid_shape) -> ConformalField:
     n1, n2 = grid_pair(grid_shape)
 
     cov = TorusCovering(s, tc)
-    z = _grid_points(s, n1, n2)
-    vals = _e2phi_from_cover(cov, z)
+    p, q = _grid_coords(n1, n2)
+    vals = _e2phi_from_cover(cov, lambda i: _theta_grid(cov._LABELS_AND_CHARS[i][1], p, q, s))
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         raise NormalizationError("conformal factor must be finite and nonnegative")
 

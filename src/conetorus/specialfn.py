@@ -102,15 +102,7 @@ def _theta_core(a: int, b: int, z, sigma: complex):
     z_red = z_mid - m_sh
 
     # largest |Im z_red| / Im sigma after reduction is about 0.5
-    v_ratio = np.max(np.abs(z_red.imag)) / y if z.size else 0.0
-    n_max = int(math.ceil(v_ratio + math.sqrt(_TAIL_EXPONENT / (math.pi * y)) + 2.0))
-    if 2 * n_max + 1 > _THETA_MAX_TERMS:
-        raise ConvergenceError(
-            f"theta series needs {2 * n_max + 1} terms, above the cap {_THETA_MAX_TERMS}; "
-            "Im sigma is too small"
-        )
-
-    ns = np.arange(-n_max, n_max + 1, dtype=np.float64) + 0.5 * a
+    ns = _theta_indices(a, np.max(np.abs(z_red.imag)) / y if z.size else 0.0, y)
     zz = z_red.reshape(z_red.shape + (1,))
     expo = (1j * math.pi * sigma) * ns**2 + (2j * math.pi) * ns * (zz + 0.5 * b)
     series = np.exp(expo).sum(axis=-1)
@@ -121,6 +113,33 @@ def _theta_core(a: int, b: int, z, sigma: complex):
         - 2j * math.pi * n_sh * z_red
     )
     return phase * series
+
+
+def _theta_indices(a: int, v_ratio: float, y: float) -> np.ndarray:
+    """Summation indices n + a/2 of the truncated series at |Im z| <= v_ratio Im sigma."""
+    n_max = int(math.ceil(v_ratio + math.sqrt(_TAIL_EXPONENT / (math.pi * y)) + 2.0))
+    if 2 * n_max + 1 > _THETA_MAX_TERMS:
+        raise ConvergenceError(f"theta series needs {2 * n_max + 1} terms, above the cap "
+                               f"{_THETA_MAX_TERMS}; Im sigma is too small")
+    return np.arange(-n_max, n_max + 1, dtype=np.float64) + 0.5 * a
+
+
+def _theta_grid(char, p: np.ndarray, q: np.ndarray, sigma: complex) -> np.ndarray:
+    """theta[a,b](p_j + sigma q_k | sigma) on a grid of real p and q, as a matrix.
+
+    Reducing q alone, q_red = q - round(q), it is rows @ cols with rows[j, v] = exp(2 pi i v p_j),
+    cols[v, k] = exp(i pi v^2 sigma + 2 pi i v (sigma q_red_k + b/2)), times _theta_core's factor.
+    """
+    a, b = char
+    n_sh = np.round(q)
+    q_red = q - n_sh
+    ns = _theta_indices(a, np.max(np.abs(q_red)), sigma.imag)
+    out = np.exp((2j * math.pi) * np.outer(p, ns)) @ np.exp(
+        (1j * math.pi * sigma) * ns[:, None] ** 2
+        + (2j * math.pi) * np.outer(ns, sigma * q_red + 0.5 * b))
+    out *= np.exp(-1j * math.pi * (b * n_sh + n_sh**2 * sigma)
+                  - 2j * math.pi * (np.outer(p, n_sh) + n_sh * sigma * q_red))
+    return out
 
 
 def _check_char(char) -> tuple[int, int]:

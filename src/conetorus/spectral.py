@@ -20,8 +20,8 @@ The deck involution z -> -z of the double cover of the sphere is, on the
 cell-centred grid, reversal of the flattened array.  K (its symbol is even
 in frequency) and W (made exactly reversal-symmetric by ``assemble``)
 commute with it, so the spectrum is the union of an even and an odd
-sector.  Each sector is solved by its own Lanczos run on half-length
-vectors; the FFTs stay full size.
+sector.  Each sector's Lanczos run works on its coefficients in a cosine
+(even) or sine (odd) Fourier basis: one irfft2 and one rfft2 per matvec.
 
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
@@ -53,8 +53,8 @@ __all__ = [
     "zeta_det_estimate",
 ]
 
-# signs of the reversal i -> n-1-i on the even and the odd sector
-_SECTOR_SIGNS = (1.0, -1.0)
+# phases of the even (cosine) and the odd (sine) sector's Fourier basis
+_SECTOR_PHASES = (1.0, -1.0j)
 # modes asked of each sector beyond half the nonzero modes of the solve
 _SECTOR_MARGIN = 2
 # lowest eigenpairs of each sector whose residual every solve measures
@@ -139,9 +139,9 @@ def assemble(sigma, t, grid_shape) -> AssembledOperator:
 
     Returns the symbol of the flat Dirichlet form's stiffness and the
     diagonal weight of conformal-factor samples, averaged with its reversal
-    so that it is exactly even under the deck involution.  The weight entry
-    nearest the cone point is small but positive (half-cell grid offset); it
-    is deliberately kept, which realizes the Friedrichs extension.
+    so that it is exactly even under the deck involution.  The weight
+    vanishes quadratically at the cone and is kept as sampled (Friedrichs
+    extension): O(h^2) beside it, 1.6e-32 on a sample at it (grid (33, 35), t = 0.3+0.4i).
     """
     s = as_sigma(sigma)
     tc = validate_t(t)
@@ -175,32 +175,39 @@ def flat_operator(sigma, grid_shape) -> AssembledOperator:
     )
 
 
-def _sector_maps(n: int, sign: float):
-    """Isometric embedding of one sector of the reversal i -> n-1-i, and its transpose.
+def _sector_basis(n1: int, n2: int, phase: complex):
+    """Orthonormal basis nu Re(phase e^(i th)) of a sector, th = 2 pi (f p_j + g q_k).
 
-    A sector vector u holds h = n // 2 entries, plus the fixed middle entry
-    last in the even sector of odd n, and embeds as
-    x = [u[:h] / sqrt 2, (middle), sign u[:h][::-1] / sqrt 2].
-    Returns (embed, restrict, dimension).
+    At the cell centres p_j, q_k, phase 1 gives cos th (reversal-even) and -i
+    sin th (odd).  Modes are rfft2 half-spectrum entries, f <= n1/2 on its
+    self-conjugate columns; nu = sqrt(2/n), or sqrt(1/n) at the four
+    self-paired (f, g), where a vector that vanishes is dropped.  Returns
+    (index, out, back): flat indices, the factors of _to_grid and _to_coef.
     """
-    h = n // 2
-    dim = n - h if sign > 0 else h
-    r = math.sqrt(0.5)
+    n = n1 * n2
+    f, g = np.ogrid[:n1, :n2 // 2 + 1]
+    rot = phase * np.exp(1j * math.pi * (f / n1 + g / n2))
+    self_conj = (g == 0) | (2 * g == n2)
+    self_paired = self_conj & ((f == 0) | (2 * f == n1))
+    # there the vector is +-Re(rot), which is +-1 or 0
+    keep = (~self_conj | (2 * f <= n1)) & (~self_paired | (np.abs(rot.real) > 0.5))
+    nu = np.where(self_paired, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
+    # irfft2 doubles the interior columns' entries against their conjugates
+    scale = np.where(self_conj, float(n), 0.5 * n)
+    index = np.flatnonzero(keep)
+    return index, (scale * nu * rot).ravel()[index], (nu * np.conj(rot)).ravel()[index]
 
-    def embed(u):
-        x = np.zeros(n)
-        x[:h] = r * u[:h]
-        x[n - h:] = (sign * r) * u[:h][::-1]
-        x[h:dim] = u[h:]
-        return x
 
-    def restrict(x):
-        u = np.empty(dim)
-        u[:h] = r * (x[:h] + sign * x[n - h:][::-1])
-        u[h:] = x[h:dim]
-        return u
+def _to_grid(shape, index, out, u):
+    """Grid values of the coefficients u: one irfft2 of the scattered half-spectrum."""
+    half = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
+    half.ravel()[index] = out * u
+    return np.fft.irfft2(half, s=shape)
 
-    return embed, restrict, dim
+
+def _to_coef(index, back, x):
+    """Coefficients of a grid x (the transpose of _to_grid): one rfft2."""
+    return (back * np.fft.rfft2(x).ravel()[index]).real
 
 
 def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> SpectrumResult:
@@ -211,9 +218,9 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     B = K^(+1/2) (W - w w^T / sum w) K^(+1/2).  B commutes with the
     reversal of the flattened grid (the deck involution z -> -z), and each
     of its even and odd sectors gets one Lanczos run for
-    ceil((m - 1) / 2) + 2 modes; the lowest m - 1 of the merged lists are
-    kept.  The runs are deterministic for a fixed seed through the pinned
-    starting vector.
+    ceil((m - 1) / 2) + 2 modes, on coefficients in ``_sector_basis`` where
+    K is diagonal; the lowest m - 1 of the merged lists are kept.  The runs
+    are deterministic for a fixed seed through the pinned starting vector.
 
     Coverage guard: the merged cutoff must not exceed the largest
     eigenvalue computed in either sector, or that sector could hold a mode
@@ -239,34 +246,37 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     nonzero = symbol.ravel()[1:]
     if symbol[0, 0] != 0.0 or not np.all(nonzero > 0.0):
         raise ConvergenceError("stiffness symbol must be 0 at frequency (0, 0), > 0 elsewhere")
-    inv_root = np.zeros_like(symbol)
-    inv_root.ravel()[1:] = 1.0 / np.sqrt(nonzero)
+    inv_root = np.zeros(symbol.size)
+    inv_root[1:] = 1.0 / np.sqrt(nonzero)
     w = op.weight.reshape(n1, n2)
     w_total = float(w.sum())
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(seed).standard_normal((n1, n2))
     matvecs = 0
-
-    def apply_b(x):
-        nonlocal matvecs
-        matvecs += 1
-        y = w * _fourier_multiply(inv_root, x.reshape(n1, n2))
-        y -= w * (y.sum() / w_total)
-        return _fourier_multiply(inv_root, y).ravel()
-
-    maps = [_sector_maps(n, sign) for sign in _SECTOR_SIGNS]
+    dims = (n - n // 2, n // 2)  # sizes of _sector_basis for the two phases
 
     def solve_sector(i, k):
-        embed, restrict, dim = maps[i]
-        b_op = LinearOperator((dim, dim), matvec=lambda u: restrict(apply_b(embed(u))),
-                              dtype=np.float64)
-        mu, vecs = eigsh(b_op, k=k, which="LA", v0=restrict(v0), tol=0.0)
+        index, out, back = _sector_basis(n1, n2, _SECTOR_PHASES[i])
+        start = _to_coef(index, back, v0)
+        # K^(-1/2) is diagonal on the basis: fold it into both maps
+        out *= inv_root[index]
+        back *= inv_root[index]
+
+        def apply_b(u):
+            nonlocal matvecs
+            matvecs += 1
+            y = w * _to_grid(op.grid_shape, index, out, u)
+            y -= w * (y.sum() / w_total)
+            return _to_coef(index, back, y)
+
+        b_op = LinearOperator((dims[i], dims[i]), matvec=apply_b, dtype=np.float64)
+        mu, vecs = eigsh(b_op, k=k, which="LA", v0=start, tol=0.0)
         if not np.all(mu > 0.0):
             raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda")
         lam_s = 1.0 / mu
         residual = 0.0
         # ascending mu: the lowest eigenpairs come last
         for lam_j, u in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
-            psi = _fourier_multiply(inv_root, embed(u).reshape(n1, n2))
+            psi = _to_grid(op.grid_shape, index, out, u)
             psi -= (w * psi).sum() / w_total
             w_psi = lam_j * w * psi
             residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
@@ -274,7 +284,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         return lam_s, residual
 
     # m // 2 = ceil((m - 1) / 2), and eigsh needs k < dim
-    ks = [min(m // 2 + _SECTOR_MARGIN, dim - 1) for _, _, dim in maps]
+    ks = [min(m // 2 + _SECTOR_MARGIN, dim - 1) for dim in dims]
     sectors = [solve_sector(i, k) for i, k in enumerate(ks)]
     while True:
         lam = np.sort(np.concatenate([lam_s for lam_s, _ in sectors]))[:m - 1]
@@ -282,7 +292,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         if not short:
             break
         for i in short:
-            k_max = maps[i][2] - 1
+            k_max = dims[i] - 1
             if ks[i] >= k_max:
                 raise ConvergenceError("a parity sector cannot cover the requested modes")
             ks[i] = min(2 * ks[i], k_max)

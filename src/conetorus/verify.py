@@ -32,7 +32,7 @@ from .detformula import (
     det_value,
     schiffer_b0,
 )
-from .errors import BranchConventionWarning
+from .errors import BranchConventionWarning, DomainError
 from .geometry import (
     conformal_map,
     conformal_map_prime,
@@ -253,8 +253,10 @@ def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[Ch
     period ratio has a different real part, so the two grids are not
     transposes of each other and the residual is the discretization's own
     gap (3.8e-3 at 128^2).  At 64^2 that gap is 1.5e-2, above the 1e-2
-    tolerance: the check needs grid >= 128.
+    tolerance: the check needs grid >= 128, and DomainError says so.
     """
+    if grid < 128:
+        raise DomainError("spectral suite needs grid >= 128 for its isospectral check")
     t = 0.3 + 0.0j
     results = []
     op = assemble(sigma_from_t(t), t, grid)

@@ -126,11 +126,19 @@ def test_orbit_member_on_a_branch_point_exits_2(capsys):
 
 def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):
     for argv in (["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10"],
-                 ["verify", "--suite", "spectral", "--grid", "64"]):
+                 ["verify", "--suite", "spectral", "--grid", "128"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: eigenpairs not resolved")
+
+
+def test_spectral_suite_below_its_grid_exits_2(capsys):
+    # the isospectral check misses its tolerance at 64^2 (1.5e-2 against 1e-2)
+    assert main(["verify", "--suite", "spectral", "--grid", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: spectral suite needs grid >= 128")
 
 
 def test_exit_code_2_on_normalization_error(monkeypatch, tmp_path, capsys):

@@ -28,11 +28,10 @@ from conetorus import (
     round_sphere_density,
     save_field,
     sigma_from_t,
-    theta,
 )
 from conetorus import geometry
 from conetorus.errors import DomainError, NormalizationError
-from conetorus.geometry import _e2phi_from_cover, _grid_points
+from conetorus.geometry import _e2phi_from_cover, _grid_coords
 from conetorus.numdiff import laplacian5
 
 
@@ -182,7 +181,7 @@ def test_cone_slope_of_conformal_factor():
     radii = np.geomspace(1e-3, 1e-2, 8)
     for theta in rng.uniform(0.0, 2.0 * math.pi, 5):
         zs = z0 + radii * np.exp(1j * theta)
-        vals = _e2phi_from_cover(cov, zs)
+        vals = _e2phi_from_cover(cov, lambda i: cov._theta(i, zs))
         slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
         assert abs(slope - 2.0) <= 0.04
 
@@ -234,7 +233,8 @@ def _oracle_gap(sigma, t, n=256):
     1e3, and a generic one.
     """
     field = conformal_factor_on_torus(sigma, t, n)
-    z = _grid_points(sigma, n, n)
+    p, q = _grid_coords(n, n)
+    z = p[:, None] + sigma * q[None, :]
     mu = np.abs(TorusCovering(sigma, t).mu(z))
     cells = [
         field.singular_points[0][0],
@@ -273,9 +273,10 @@ def test_conformal_factor_oracle_rejects_theta00_numerator(monkeypatch):
     # the numerator takes theta[0,0](z) whatever half period carries the cone
     exact = geometry._e2phi_from_cover
 
-    def mutant(cov, z):
-        wrong = theta((0, 0), z, cov.sigma) / cov._theta(cov._ic, z)
-        return exact(cov, z) * np.abs(wrong) ** 2
+    def mutant(cov, theta_at):
+        i00 = [char for _, char in cov._LABELS_AND_CHARS].index((0, 0))
+        wrong = theta_at(i00) / theta_at(cov._ic)
+        return exact(cov, theta_at) * np.abs(wrong) ** 2
 
     monkeypatch.setattr(geometry, "_e2phi_from_cover", mutant)
     sigma, members = _cone_on_each_half_period(0.3 + 0.25j)

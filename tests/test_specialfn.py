@@ -26,6 +26,7 @@ from conetorus import (
     dedekind_eta,
     elliptic_K,
     reduce_to_fundamental_domain,
+    sigma_from_t,
     theta,
 )
 from conetorus import specialfn
@@ -124,6 +125,20 @@ def test_theta_accepts_arrays():
     assert vals.shape == z.shape
     for zi, vi in zip(z, vals):
         assert abs(vi - theta((0, 1), complex(zi), 0.2 + 0.9j)) <= 1e-13 * abs(vi)
+
+
+@pytest.mark.parametrize("t", [1e-3 * (1 + 1j), 0.999 - 0.01j, 30.0 - 20.0j])
+def test_theta_grid_matches_pointwise_theta(t):
+    # the one-product grid evaluator against the pointwise series, on an
+    # odd x even cell-centred grid, for sigma toward each cusp of t
+    sigma = sigma_from_t(t).sigma
+    p = (np.arange(33) + 0.5) / 33
+    q = (np.arange(64) + 0.5) / 64
+    z = p[:, None] + sigma * q[None, :]
+    for char in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        grid = specialfn._theta_grid(char, p, q, sigma)
+        ref = theta(char, z, sigma)
+        assert np.max(np.abs(grid - ref) / np.abs(ref)) <= 1e-13, char
 
 
 def test_theta_null_product_is_eta_cubed():

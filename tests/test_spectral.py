@@ -34,7 +34,7 @@ from conetorus import (
     zeta_det_estimate,
 )
 from conetorus.errors import ConvergenceError, DomainError
-from conetorus.spectral import _fourier_multiply
+from conetorus.spectral import _fourier_multiply, _sector_basis, _to_coef, _to_grid
 from conetorus.verify import suite_spectral
 
 
@@ -172,9 +172,57 @@ def test_sparse_oracle_rejects_symbol_without_cross_term():
 
 
 def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
-    # embedding the odd sector with sign +1 solves the even sector twice
-    monkeypatch.setattr(spectral, "_SECTOR_SIGNS", (1.0, 1.0))
+    # building the odd sector with the even phase solves the even sector twice
+    monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
     assert oracle_gap(ORACLE_CASES["curved"]()) > 1e-3
+
+
+def sector_matrices(n1, n2, phase, basis=_sector_basis):
+    """Dense embedding E (grid x coefficients) and the dense grid -> coefficient map."""
+    index, out, back = basis(n1, n2, phase)
+    eye = np.eye(index.size)
+    embed = np.stack([_to_grid((n1, n2), index, out, e).ravel() for e in eye], axis=1)
+    eye = np.eye(n1 * n2)
+    restrict = np.stack([_to_coef(index, back, e.reshape(n1, n2)) for e in eye], axis=1)
+    return embed, restrict
+
+
+def sector_basis_gaps(n1, n2, basis=_sector_basis):
+    """Largest departures from orthonormality, from transposition and from parity."""
+    gaps = {"orthonormal": 0.0, "transpose": 0.0, "parity": 0.0}
+    for phase, sign in zip(spectral._SECTOR_PHASES, (1.0, -1.0)):
+        e, r = sector_matrices(n1, n2, phase, basis)
+        gaps["orthonormal"] = max(gaps["orthonormal"],
+                                  np.abs(e.T @ e - np.eye(e.shape[1])).max())
+        gaps["transpose"] = max(gaps["transpose"], np.abs(r - e.T).max())
+        gaps["parity"] = max(gaps["parity"], np.abs(e[::-1] - sign * e).max())
+    return gaps
+
+
+SECTOR_GRIDS = [(6, 8), (5, 7), (6, 7), (7, 6), (9, 9)]
+
+
+@pytest.mark.parametrize("grid", SECTOR_GRIDS)
+def test_sector_bases_are_orthonormal_and_split_the_grid(grid):
+    n1, n2 = grid
+    n = n1 * n2
+    # even columns are reversal-even, odd columns reversal-odd
+    assert all(gap <= 1e-13 for gap in sector_basis_gaps(n1, n2).values())
+    dims = [_sector_basis(n1, n2, phase)[0].size for phase in spectral._SECTOR_PHASES]
+    assert dims == [n - n // 2, n // 2]
+
+
+def test_sector_orthonormality_rejects_self_paired_modes_at_the_paired_norm():
+    # normalizing the self-paired modes by sqrt(2 / n), like every other mode
+    def mutant(n1, n2, phase):
+        index, out, back = _sector_basis(n1, n2, phase)
+        f, g = np.unravel_index(index, (n1, n2 // 2 + 1))
+        paired = ((f == 0) | (2 * f == n1)) & ((g == 0) | (2 * g == n2))
+        wrong = np.where(paired, math.sqrt(2.0), 1.0)
+        return index, wrong * out, wrong * back
+
+    for n1, n2 in SECTOR_GRIDS:
+        assert sector_basis_gaps(n1, n2, mutant)["orthonormal"] > 0.1
 
 
 def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
