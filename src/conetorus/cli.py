@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Subcommands: det, sigma, orbit, tau, spectrum, verify, field-dump.
+Subcommands: det, sigma, orbit, spectrum, verify, field-dump.
 Complex flags use the "a+bi" syntax.  Reports go to stdout as text, json,
 or csv (--format); reruns are byte-identical (fixed seeds, floats printed
 with 15 significant digits).  Exit status: 0 on success and all checks
 passing, 1 when a verification suite fails, 2 on bad usage (a missing or
-duplicated --t/--sigma included), unparseable or out-of-domain input, when
-a numerical scheme does not converge, or when a constructed object fails
-its consistency check.
+duplicated --t/--sigma included), unparseable or out-of-domain input, an
+--output path that cannot be written, when a numerical scheme does not
+converge, or when a constructed object fails its consistency check.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import json
 import sys
 
 from . import __version__
-from .detformula import F, det_prelim, det_value, tau_bergman
+from .detformula import F, det_value
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .geometry import conformal_factor_on_torus, save_field
 from .moduli import g_orbit, sigma_from_t, t_from_sigma, validate_t
 from .spectral import assemble, flat_operator, lowest_eigenvalues
 from .specialfn import reduce_to_fundamental_domain
-from .verify import DEFAULT_TOLERANCES, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "parse_complex"]
 
@@ -94,15 +94,6 @@ def _power_of_two(text: str) -> int:
     return n
 
 
-def _tol_override(text: str) -> tuple[str, float]:
-    name, _, value = text.partition("=")
-    if not value or name not in DEFAULT_TOLERANCES:
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=VALUE with NAME in {sorted(DEFAULT_TOLERANCES)}"
-        )
-    return name, float(value)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="conetorus",
@@ -125,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("sigma", help="period ratio from t, or reduce a given sigma"),
                sigma_chart=True)
     add_common(sub.add_parser("orbit", help="the six-element moduli orbit of t"))
-    add_common(sub.add_parser("tau", help="tau function and both determinant routes at t"))
 
     q = sub.add_parser("spectrum", help="low eigenvalues of the cone-metric Laplacian")
     add_common(q, sigma_chart=True)
@@ -135,11 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("verify", help="run a named invariant suite")
     q.add_argument("--suite", choices=sorted(SUITES), required=True)
-    q.add_argument("--tol", type=_tol_override, action="append", default=[],
-                   metavar="NAME=VALUE", help="override one tolerance")
-    q.add_argument("--grid", type=_power_of_two, default=128,
-                   help="grid for the spectral suite")
-    q.add_argument("--modes", type=int, default=40)
     q.add_argument("--format", choices=("text", "json", "csv"), default="text")
     q.add_argument("--output", default=None)
 
@@ -190,18 +175,6 @@ def _cmd_orbit(args) -> dict:
     }
 
 
-def _cmd_tau(args) -> dict:
-    t = args.t
-    tau = tau_bergman(t)
-    dv, dp = det_value(t), det_prelim(t)
-    return {
-        "inputs": {"t": t},
-        "outputs": {"tau": tau, "abs_tau": abs(tau),
-                    "log_det": dv.log_value, "log_det_prelim": dp.log_value},
-        "residuals": {"prelim_minus_value": dp - dv},
-    }
-
-
 def _cmd_spectrum(args) -> dict:
     if args.t is not None:
         op = assemble(sigma_from_t(args.t), args.t, args.grid)
@@ -228,11 +201,7 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    overrides = dict(args.tol)
-    kwargs = {}
-    if args.suite == "spectral":
-        kwargs = {"grid": args.grid, "modes": args.modes}
-    checks = run_suite(args.suite, overrides or None, **kwargs)
+    checks = run_suite(args.suite)
     return {
         "inputs": {"suite": args.suite,
                    "tolerances": {c.name: c.tolerance for c in checks}},
@@ -256,7 +225,6 @@ _COMMANDS = {
     "det": _cmd_det,
     "sigma": _cmd_sigma,
     "orbit": _cmd_orbit,
-    "tau": _cmd_tau,
     "spectrum": _cmd_spectrum,
     "verify": _cmd_verify,
     "field-dump": _cmd_field_dump,
@@ -273,19 +241,17 @@ def main(argv=None) -> int:
 
     try:
         report = {"command": args.command, **_COMMANDS[args.command](args)}
-    except (DomainError, ValueError, ConvergenceError, NormalizationError) as exc:
+        report.setdefault("residuals", {})
+        ok = report.setdefault("pass", True)
+        out_path = getattr(args, "output", None)
+        if out_path is not None and args.command != "field-dump":
+            with open(out_path, "w", encoding="ascii") as fh:
+                _emit(report, args.format, fh)
+        else:
+            _emit(report, getattr(args, "format", "text"), sys.stdout)
+    except (DomainError, ValueError, ConvergenceError, NormalizationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    report.setdefault("residuals", {})
-    ok = report.setdefault("pass", True)
-    out_path = getattr(args, "output", None)
-    if out_path is not None and args.command != "field-dump":
-        with open(out_path, "w", encoding="ascii") as fh:
-            _emit(report, args.format, fh)
-    else:
-        fmt = getattr(args, "format", "text")
-        _emit(report, fmt, sys.stdout)
     return 0 if ok else 1
 
 

@@ -12,11 +12,11 @@ works with the logarithm of the determinant; the unknown constant is
 tracked by a flag on DetValue, so only differences of log values carry
 meaning.
 
-Two independent consistency routes are provided.  The first expresses the
-determinant through the Bergman tau function, tau = eta(sigma)^2 times a
-twelfth root of t (t - 1) continued straight from a fixed base point.  The
-second is the variational identity d/dt log det = (b(0) - b(-oo)) / 2; of
-its coefficients, b(-oo) comes either from the quarter-disk chart, as a
+Two consistency routes are provided.  The first expresses the determinant
+through the modulus of the Bergman tau function, |tau| = |eta(sigma)|^2
+|t (t - 1)|^(1/12); the phase of tau is never used.  The second is the
+variational identity d/dt log det = (b(0) - b(-oo)) / 2; of its
+coefficients, b(-oo) comes either from the quarter-disk chart, as a
 rational expression in q = s^2 for a preimage s of t and valid on all of
 C minus {0, 1}, or as an exact Wirtinger derivative of log rho, and b(0)
 in closed form from the complete elliptic integrals K(t) and E(t).
@@ -45,11 +45,7 @@ __all__ = [
     "b_minus_inf_from_AB",
     "b_minus_inf_closed",
     "schiffer_b0",
-    "TAU_BASE_POINT",
 ]
-
-# base point for the branch of the twelfth root inside tau_bergman
-TAU_BASE_POINT = 0.25 + 0.25j
 
 
 @dataclass(frozen=True)
@@ -111,22 +107,11 @@ def det_value(t) -> DetValue:
 def tau_bergman(t) -> complex:
     """Bergman tau function on the family, up to a constant factor.
 
-    tau(t) = eta(sigma(t))^2 * (t (t-1))^(1/12), where the twelfth root is
-    continued exactly along the straight path from the base point
-    b = 1/4 + i/4: arg(z - a) changes by phase((t - a) / (b - a)) for a in
-    {0, 1}, and a path through 0 or 1 raises DomainError.  Across the rays
-    from b through 0 and through 1 the phase jumps by a twelfth root of
-    unity; only |tau| enters the determinant comparisons.
+    tau(t) = eta(sigma(t))^2 (t (t-1))^(1/12) with the principal twelfth
+    root.  Only |tau| enters the determinant, so the branch is immaterial.
     """
     tc = validate_t(t)
-    phi = cmath.phase(TAU_BASE_POINT * (TAU_BASE_POINT - 1.0))
-    for a in (0.0, 1.0):
-        ratio = (tc - a) / (TAU_BASE_POINT - a)
-        if ratio.imag == 0.0 and ratio.real <= 0.0:
-            raise DomainError("continuation path passes through a branch point")
-        phi += cmath.phase(ratio)
-    root12 = cmath.exp((math.log(abs(tc * (tc - 1.0))) + 1j * phi) / 12.0)
-    return dedekind_eta(sigma_from_t(tc)) ** 2 * root12
+    return dedekind_eta(sigma_from_t(tc)) ** 2 * (tc * (tc - 1.0)) ** (1.0 / 12.0)
 
 
 def det_prelim(t) -> DetValue:

@@ -119,8 +119,13 @@ def _flat_symbol(sigma: complex, n1: int, n2: int) -> np.ndarray:
     th_j = 2 pi j / n1, th_k = 2 pi k / n2, on the rfft2 half k <= n2 // 2.
     """
     y2 = sigma.imag * sigma.imag
-    gpp = abs(sigma) ** 2 / y2
-    gqq = 1.0 / y2
+    try:
+        gpp, gqq = abs(sigma) ** 2 / y2, 1.0 / y2
+    except (OverflowError, ZeroDivisionError):
+        gpp = gqq = math.inf
+    # a finite positive g^qq also bounds flat_operator's weight 1 / Im sigma
+    if not (0.0 < gpp < math.inf and 0.0 < gqq < math.inf):
+        raise DomainError(f"flat metric is not representable in double precision at {sigma}")
     gpq = -sigma.real / y2
     th_j = 2.0 * math.pi * np.arange(n1) / n1
     th_k = 2.0 * math.pi * np.arange(n2 // 2 + 1) / n2

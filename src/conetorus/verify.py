@@ -1,9 +1,9 @@
 """Named invariant suites behind the command-line ``verify`` command.
 
 Each suite draws its sample points from a seeded generator, runs a batch of
-identity checks at the tolerances in DEFAULT_TOLERANCES (overridable per
-call), and returns one CheckResult per named check.  Reruns are
-deterministic and byte-identical.
+identity checks at the tolerances in DEFAULT_TOLERANCES, and returns one
+CheckResult per named check.  Suites take no arguments: the tolerances,
+the samples and the spectral grid are fixed, so reruns are byte-identical.
 
 Suites:
   symmetry     F(t) = F(1/t) = F(1-t) on 200 annulus samples
@@ -32,7 +32,7 @@ from .detformula import (
     det_value,
     schiffer_b0,
 )
-from .errors import BranchConventionWarning, DomainError
+from .errors import BranchConventionWarning
 from .geometry import (
     conformal_map,
     conformal_map_prime,
@@ -86,12 +86,6 @@ class CheckResult:
         )
 
 
-def _tol(overrides, name: str) -> float:
-    if overrides and name in overrides:
-        return float(overrides[name])
-    return DEFAULT_TOLERANCES[name]
-
-
 def _annulus_samples(rng, n: int, min_dist: float = 0.05, box: float = 6.0):
     """t samples with min_dist < |t|, |t-1| and |t| well below 20."""
     out = []
@@ -112,9 +106,9 @@ def _upper_samples(rng, n: int, im_lo: float = 0.15, im_hi: float = 1.2):
     return out
 
 
-def suite_symmetry(tolerances=None) -> list[CheckResult]:
+def suite_symmetry() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
-    tol = _tol(tolerances, "f_symmetry")
+    tol = DEFAULT_TOLERANCES["f_symmetry"]
     worst = 0.0
     n = 200
     for t in _annulus_samples(rng, n):
@@ -124,11 +118,11 @@ def suite_symmetry(tolerances=None) -> list[CheckResult]:
     return [CheckResult("f_symmetry", worst < tol, worst, tol, n)]
 
 
-def suite_roundtrip(tolerances=None) -> list[CheckResult]:
+def suite_roundtrip() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 1)
     results = []
 
-    tol = _tol(tolerances, "roundtrip_orbit")
+    tol = DEFAULT_TOLERANCES["roundtrip_orbit"]
     n = 50
     bad = 0
     for t in _annulus_samples(rng, n):
@@ -140,7 +134,7 @@ def suite_roundtrip(tolerances=None) -> list[CheckResult]:
                     detail="residual counts failed round trips")
     )
 
-    tol = _tol(tolerances, "det_orbit")
+    tol = DEFAULT_TOLERANCES["det_orbit"]
     n = 50
     worst = 0.0
     for t in _upper_samples(rng, n):
@@ -149,7 +143,7 @@ def suite_roundtrip(tolerances=None) -> list[CheckResult]:
             worst = max(worst, abs(det_value(member) - base))
     results.append(CheckResult("det_orbit", worst < tol, worst, tol, n))
 
-    tol = _tol(tolerances, "sigma_reduction")
+    tol = DEFAULT_TOLERANCES["sigma_reduction"]
     n = 25
     bad = 0
     for _ in range(n):
@@ -170,18 +164,18 @@ def suite_roundtrip(tolerances=None) -> list[CheckResult]:
     return results
 
 
-def suite_variational(tolerances=None) -> list[CheckResult]:
+def suite_variational() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 2)
     results = []
 
-    tol = _tol(tolerances, "b_dual")
+    tol = DEFAULT_TOLERANCES["b_dual"]
     n = 30
     worst = 0.0
     for t in _upper_samples(rng, n):
         worst = max(worst, abs(b_minus_inf_from_AB(t) - b_minus_inf_closed(t)))
     results.append(CheckResult("b_dual", worst < tol, worst, tol, n))
 
-    tol = _tol(tolerances, "variational_identity")
+    tol = DEFAULT_TOLERANCES["variational_identity"]
     n = 20
     worst = 0.0
     for t in _upper_samples(rng, n):
@@ -190,7 +184,7 @@ def suite_variational(tolerances=None) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs))
     results.append(CheckResult("variational_identity", worst < tol, worst, tol, n))
 
-    tol = _tol(tolerances, "prelim_consistency")
+    tol = DEFAULT_TOLERANCES["prelim_consistency"]
     n = 50
     diffs = np.array([det_prelim(t) - det_value(t) for t in _upper_samples(rng, n)])
     spread = float(np.std(diffs))
@@ -201,11 +195,11 @@ def suite_variational(tolerances=None) -> list[CheckResult]:
     return results
 
 
-def suite_curvature(tolerances=None) -> list[CheckResult]:
+def suite_curvature() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 3)
     results = []
 
-    tol = _tol(tolerances, "pushforward")
+    tol = DEFAULT_TOLERANCES["pushforward"]
     n = 50
     worst = 0.0
     got = 0
@@ -219,7 +213,7 @@ def suite_curvature(tolerances=None) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs) / rhs)
     results.append(CheckResult("pushforward", worst < tol, worst, tol, n))
 
-    tol = _tol(tolerances, "curvature_one")
+    tol = DEFAULT_TOLERANCES["curvature_one"]
     n = 100
     worst = 0.0
     got = 0
@@ -231,7 +225,7 @@ def suite_curvature(tolerances=None) -> list[CheckResult]:
         worst = max(worst, abs(gauss_curvature(w) - 1.0))
     results.append(CheckResult("curvature_one", worst < tol, worst, tol, n))
 
-    tol = _tol(tolerances, "curvature_oracle")
+    tol = DEFAULT_TOLERANCES["curvature_oracle"]
     n = 20
     worst = 0.0
     for _ in range(n):
@@ -246,22 +240,21 @@ def suite_curvature(tolerances=None) -> list[CheckResult]:
     return results
 
 
-def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[CheckResult]:
-    """Grid area, solver residual, Weyl slope and orbit isospectrality at t = 0.3.
+def suite_spectral() -> list[CheckResult]:
+    """Grid area, solver residual, Weyl slope and orbit isospectrality at t = 0.3,
+    on 128^2 with 40 modes.
 
     The isospectral check compares t with its orbit member 1/(1-t), whose
     period ratio has a different real part, so the two grids are not
     transposes of each other and the residual is the discretization's own
-    gap (3.8e-3 at 128^2).  At 64^2 that gap is 1.5e-2, above the 1e-2
-    tolerance: the check needs grid >= 128, and DomainError says so.
+    gap (3.8e-3 at 128^2; at 64^2 it is 1.5e-2, above the 1e-2 tolerance).
     """
-    if grid < 128:
-        raise DomainError("spectral suite needs grid >= 128 for its isospectral check")
     t = 0.3 + 0.0j
+    grid, modes = 128, 40
     results = []
     op = assemble(sigma_from_t(t), t, grid)
 
-    tol = _tol(tolerances, "grid_area")
+    tol = DEFAULT_TOLERANCES["grid_area"]
     # midpoint-rule area of the sampled conformal factor
     area = float(op.weight.sum()) * op.sigma.imag / op.weight.size
     resid = abs(area - 2.0 * math.pi) / (2.0 * math.pi)
@@ -272,11 +265,11 @@ def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[Ch
 
     spec = lowest_eigenvalues(op, modes)
 
-    tol = _tol(tolerances, "zero_mode")
+    tol = DEFAULT_TOLERANCES["zero_mode"]
     resid = spec.diagnostics[0]
     results.append(CheckResult("zero_mode", resid < tol, resid, tol, 1))
 
-    tol = _tol(tolerances, "weyl_slope")
+    tol = DEFAULT_TOLERANCES["weyl_slope"]
     slope = weyl_check(spec)
     resid = abs(slope - 0.5)
     results.append(
@@ -284,7 +277,7 @@ def suite_spectral(tolerances=None, grid: int = 128, modes: int = 40) -> list[Ch
                     detail=f"slope {slope:.4f} vs 0.5")
     )
 
-    tol = _tol(tolerances, "isospectral")
+    tol = DEFAULT_TOLERANCES["isospectral"]
     t_image = 1.0 / (1.0 - t)
     with warnings.catch_warnings():
         # t_image lies on the real cut (1, oo); the limits from either side
@@ -305,8 +298,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, tolerances=None, **kwargs) -> list[CheckResult]:
+def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite; unknown names raise KeyError."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](tolerances, **kwargs)
+    return SUITES[name]()

@@ -34,9 +34,8 @@ from conetorus import (
     schiffer_b0,
     sigma_from_t,
     specialfn,
-    tau_bergman,
 )
-from conetorus.detformula import TAU_BASE_POINT, DetValue
+from conetorus.detformula import DetValue
 from conetorus.errors import DomainError
 from conetorus.numdiff import wirtinger
 
@@ -332,48 +331,20 @@ def test_prelim_route_consistency():
 
 
 def near_branch_ray(a, offset, length=2.0):
-    """t beyond a on the ray from the tau base point through a, pushed
-    sideways by ``offset``; the straight path to t passes a closer still."""
-    d = (a - TAU_BASE_POINT) / abs(a - TAU_BASE_POINT)
+    """t beyond a on the ray from 1/4 + i/4 through a, pushed sideways by
+    ``offset``; the segment from 1/4 + i/4 to t passes a closer still."""
+    base = 0.25 + 0.25j
+    d = (a - base) / abs(a - base)
     return a + length * d + offset * 1j * d
 
 
-def test_tau_monodromy_across_branch_rays():
-    # from the right of the ray through a to its left, the straight path
-    # from the base point swings across a: arg t(t-1) drops by 2 pi and tau
-    # gains a primitive twelfth root of unity
-    for a in (0.0, 1.0):
-        ratio = tau_bergman(near_branch_ray(a, 1e-6)) / tau_bergman(near_branch_ray(a, -1e-6))
-        assert abs(ratio - cmath.exp(-1j * math.pi / 6.0)) <= 1e-6
-
-
 def test_variational_identity_next_to_branch_paths():
-    def log_aligned(value, reference):
-        # the branch of log(value) nearest to arg(reference)
-        raw = cmath.log(value)
-        shift = round((cmath.phase(reference) - raw.imag) / (2.0 * math.pi))
-        return complex(raw.real, raw.imag + 2.0 * math.pi * shift)
-
     for a in (0.0, 1.0):
         for offset in (3e-5, 3e-6):
             t = near_branch_ray(a, offset)
             assert abs((det_prelim(t) - det_value(t))
                        - (det_prelim(0.3 + 0.4j) - det_value(0.3 + 0.4j))) <= 1e-12
             assert variational_residual(t) <= 1e-6
-
-            # the Wirtinger stencil straddles the path: continued from the
-            # base point, its points pick up different twelfth roots of unity
-            tau_ref = tau_bergman(t)
-
-            def log_tau_straight(z):
-                return log_aligned(tau_bergman(z), tau_ref)
-
-            def log_im_sigma(z):
-                return math.log(sigma_from_t(z).sigma.imag)
-
-            lhs = wirtinger(log_det, t)
-            b0_straight = 2.0 * wirtinger(log_tau_straight, t) + 2.0 * wirtinger(log_im_sigma, t)
-            assert abs(lhs - 0.5 * (b0_straight - b_minus_inf_closed(t))) > 1.0
 
 
 def test_det_domain_guards():
@@ -382,8 +353,4 @@ def test_det_domain_guards():
             det_value(bad)
     with pytest.raises(DomainError):
         DetValue(log_value=float("nan"))
-    # the tau continuation fails only on a path through 0 or 1: the straight
-    # path from 1/4 + i/4 to -1/4 - i/4 runs through 0
-    with pytest.raises(DomainError):
-        tau_bergman(-0.25 - 0.25j)
     assert (DetValue(2.0) - DetValue(0.5)) == 1.5

@@ -26,6 +26,7 @@ from conetorus import (
     det_value,
     flat_det,
     flat_operator,
+    geometry,
     isospectral_orbit_check,
     lowest_eigenvalues,
     sigma_from_t,
@@ -363,6 +364,47 @@ def test_eigenvalue_five_refinement():
     assert vals[0] < vals[1] < vals[2]
     d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
     assert math.log2(d1 / d2) >= 1.0
+
+
+# the even sector is the round sphere modulo {+-z, +-1/z}, whatever t is:
+# l (l + 1) with multiplicity (2l + 1 + 3 (-1)^l) / 4, from l = 2 on
+EVEN_SECTOR = np.array([l * (l + 1) for l in range(2, 7)
+                        for _ in range((2 * l + 1 + 3 * (-1) ** l) // 4)])
+
+
+def even_sector_gap(monkeypatch, t):
+    """Largest relative error of the 12 lowest even modes, Richardson-combined.
+
+    Building the odd sector with the even phase doubles each even
+    eigenvalue; every other entry of the merged spectrum is the even one.
+    """
+    monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
+
+    def even(n):
+        return lowest_eigenvalues(assemble(sigma_from_t(t), t, n), 41).eigenvalues[1::2][:12]
+
+    lam = (4.0 * even(128) - even(64)) / 3.0
+    return float(np.max(np.abs(lam - EVEN_SECTOR) / EVEN_SECTOR))
+
+
+@pytest.mark.parametrize("t", [0.3 + 0.4j, 0.3 - 0.4j, 0.02, 0.999 - 0.01j, 1e-3 + 1e-3j, 2.0])
+def test_even_sector_is_the_round_sphere_quotient(monkeypatch, t):
+    # measured: <= 1.2e-4, and 6.3e-4 at t = 2
+    assert even_sector_gap(monkeypatch, t) <= 2e-3
+
+
+def test_even_sector_oracle_rejects_theta00_numerator(monkeypatch):
+    # the numerator takes theta[0,0](z) whatever half period carries the
+    # cone; at t = 2 it is another one (at the other t above the mutant is
+    # exact)
+    exact = geometry._e2phi_from_cover
+
+    def mutant(cov, theta_at):
+        i00 = [char for _, char in cov._LABELS_AND_CHARS].index((0, 0))
+        return exact(cov, theta_at) * np.abs(theta_at(i00) / theta_at(cov._ic)) ** 2
+
+    monkeypatch.setattr(geometry, "_e2phi_from_cover", mutant)
+    assert even_sector_gap(monkeypatch, 2.0) > 2e-3
 
 
 def test_first_ten_modes_grid_stability(spec_t03_256):
