@@ -21,7 +21,7 @@ from . import __version__
 from .detformula import F, det_value
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .geometry import conformal_factor_on_torus, save_field
-from .moduli import g_orbit, sigma_from_t, t_from_sigma, validate_t
+from .moduli import g_orbit, sigma_from_t, t_from_sigma
 from .spectral import assemble, flat_operator, lowest_eigenvalues
 from .specialfn import reduce_to_fundamental_domain
 from .verify import SUITES, run_suite
@@ -167,11 +167,9 @@ def _cmd_sigma(args) -> dict:
 
 def _cmd_orbit(args) -> dict:
     orb = g_orbit(args.t)
-    # a member can round to 0 or 1 (1 - t at |t| below the double spacing)
-    members = [validate_t(m) for m in orb.members]
     return {
         "inputs": {"t": args.t},
-        "outputs": {"members": members, "canonical": orb.canonical},
+        "outputs": {"members": orb.members, "canonical": orb.canonical},
     }
 
 
@@ -188,7 +186,8 @@ def _cmd_spectrum(args) -> dict:
         "inputs": inputs,
         "outputs": {
             "area": spec.area,
-            "diagnostics": {"matvecs": spec.diagnostics[1], "residual": spec.diagnostics[0]},
+            "diagnostics": {"matvecs": spec.diagnostics.matvecs,
+                            "residual": spec.diagnostics.residual},
             "eigenvalues": [float(v) for v in spec.eigenvalues],
             "grid_shape": list(spec.grid_shape),
             "seed": spec.seed,
@@ -196,7 +195,7 @@ def _cmd_spectrum(args) -> dict:
             "t": None if spec.t is None else [spec.t.real, spec.t.imag],
             "zeta0": spec.zeta0,
         },
-        "residuals": {"zero_mode": spec.diagnostics[0]},
+        "residuals": {"zero_mode": spec.diagnostics.residual},
     }
 
 

@@ -63,17 +63,28 @@ class GOrbit:
             raise NormalizationError("canonical member must be one of the six")
 
 
+_MEMBER_NAMES = ("t", "1/t", "1-t", "1/(1-t)", "t/(t-1)", "(t-1)/t")
+
+
+def _orbit_members(tc: complex) -> tuple[complex, ...]:
+    """The six images of t in GOrbit order, unchecked."""
+    return (tc, 1.0 / tc, 1.0 - tc, 1.0 / (1.0 - tc), tc / (tc - 1.0), (tc - 1.0) / tc)
+
+
 def g_orbit(t) -> GOrbit:
-    """All six images of t under the group generated by 1/t and 1-t."""
+    """All six images of t under the group generated by 1/t and 1-t.
+
+    Raises DomainError when a member leaves the domain in double precision:
+    1 - t rounds to 1 for |t| below the double spacing at 1, 1/t overflows
+    for subnormal t, and 1/(1-t) underflows to 0 for |t| near the top of
+    the double range.
+    """
     tc = validate_t(t)
-    members = (
-        tc,
-        1.0 / tc,
-        1.0 - tc,
-        1.0 / (1.0 - tc),
-        tc / (tc - 1.0),
-        (tc - 1.0) / tc,
-    )
+    members = _orbit_members(tc)
+    for name, m in zip(_MEMBER_NAMES, members):
+        if not (math.isfinite(m.real) and math.isfinite(m.imag)) or m == 0 or m == 1:
+            raise DomainError(f"branch point t must avoid 0 and 1 over its whole moduli "
+                              f"orbit, but in the orbit of t = {tc}, {name} is {m}")
     canonical = min(members, key=lambda m: (abs(m), m.real, m.imag))
     return GOrbit(members=members, canonical=canonical)
 
@@ -112,7 +123,7 @@ def sigma_from_t(t) -> PeriodRatio:
 
 
 # (a, b, c, d) mod 2 of the reduction matrix M -> position of t(sigma) in
-# g_orbit(t(M sigma)).members, from t(sigma+1) = t/(t-1) and t(-1/sigma) = 1/t
+# the orbit members of t(M sigma), from t(sigma+1) = t/(t-1) and t(-1/sigma) = 1/t
 _ORBIT_INDEX = {(1, 0, 0, 1): 0, (0, 1, 1, 0): 1, (1, 0, 1, 1): 2,
                 (0, 1, 1, 1): 3, (1, 1, 0, 1): 4, (1, 1, 1, 0): 5}
 
@@ -131,7 +142,8 @@ def t_from_sigma(sigma) -> complex:
     red, (a, b, c, d) = reduce_to_fundamental_domain(s).reduced
     t_red = -((theta((1, 0), 0.0, red) / theta((0, 1), 0.0, red)) ** 4)
     try:
-        return validate_t(g_orbit(t_red).members[_ORBIT_INDEX[(a % 2, b % 2, c % 2, d % 2)]])
+        members = _orbit_members(validate_t(t_red))
+        return validate_t(members[_ORBIT_INDEX[(a % 2, b % 2, c % 2, d % 2)]])
     except DomainError:
         raise DomainError(f"t(sigma) is not representable in double precision at {s}") from None
 

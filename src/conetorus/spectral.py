@@ -26,15 +26,20 @@ sector.  Each sector's Lanczos run works on its coefficients in a cosine
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
 -zeta'(0) from a tail-completed spectral zeta.
+
+scipy's ARPACK (``scipy.sparse.linalg``, most of the package's import time)
+is imported on the first eigensolve, not with this module, so the
+closed-form layers and the CLI commands that solve no spectrum start
+without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .detformula import DetValue
 from .errors import ConvergenceError, DomainError
@@ -64,6 +69,13 @@ _CHECKED_PAIRS = 2
 _AVERAGE_WINDOW = 0.25
 
 
+def eigsh(a, k=6, which="LM", v0=None, tol=0):
+    """scipy.sparse.linalg.eigsh, imported on the first call and passed the arguments."""
+    from scipy.sparse.linalg import eigsh as arpack_eigsh
+
+    return arpack_eigsh(a, k=k, which=which, v0=v0, tol=tol)
+
+
 @dataclass
 class AssembledOperator:
     """Stiffness/weight pair of the discretized eigenproblem.
@@ -85,22 +97,32 @@ class AssembledOperator:
     zeta0: float
 
 
+class SolverDiagnostics(NamedTuple):
+    """How one solve went; still unpacks as the pair (residual, matvecs).
+
+    ``residual`` is the largest relative residual
+    |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs
+    (the two lowest of each sector); ``matvecs`` is the number of full-grid
+    operator applications, summed over both sectors and any re-solve.
+    """
+
+    residual: float
+    matvecs: int
+
+
 @dataclass
 class SpectrumResult:
     """Eigenvalues of one discretization, with solver diagnostics.
 
     ``eigenvalues`` is ascending and starts with the exact zero mode.
-    ``diagnostics`` is (residual, matvecs): the largest relative residual
-    |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs
-    (the two lowest of each sector), and the number of full-grid operator
-    applications the solve took, summed over both sectors and any re-solve.
+    ``diagnostics`` is a SolverDiagnostics (residual, matvecs).
     """
 
     eigenvalues: np.ndarray
     grid_shape: tuple[int, int]
     sigma: complex
     t: complex | None
-    diagnostics: tuple[float, int]
+    diagnostics: SolverDiagnostics
     area: float
     zeta0: float
     seed: int = 0
@@ -247,6 +269,9 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     if not np.array_equal(op.weight, op.weight[::-1]):
         raise DomainError("weight must be exactly even under the deck involution "
                           "(reversal of the flattened grid)")
+    # with eigsh, the first solve of a process imports scipy's ARPACK
+    from scipy.sparse.linalg import LinearOperator
+
     symbol = op.stiffness
     nonzero = symbol.ravel()[1:]
     if symbol[0, 0] != 0.0 or not np.all(nonzero > 0.0):
@@ -311,7 +336,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         grid_shape=op.grid_shape,
         sigma=op.sigma,
         t=op.t,
-        diagnostics=(residual, matvecs),
+        diagnostics=SolverDiagnostics(residual, matvecs),
         area=op.area,
         zeta0=op.zeta0,
         seed=seed,

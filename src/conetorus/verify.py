@@ -266,7 +266,7 @@ def suite_spectral() -> list[CheckResult]:
     spec = lowest_eigenvalues(op, modes)
 
     tol = DEFAULT_TOLERANCES["zero_mode"]
-    resid = spec.diagnostics[0]
+    resid = spec.diagnostics.residual
     results.append(CheckResult("zero_mode", resid < tol, resid, tol, 1))
 
     tol = DEFAULT_TOLERANCES["weyl_slope"]

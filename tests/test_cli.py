@@ -122,6 +122,20 @@ def test_orbit_member_on_a_branch_point_exits_2(capsys):
     assert captured.err.startswith("error: branch point t must avoid 0 and 1")
 
 
+@pytest.mark.parametrize("t, member", [
+    ("1e308+1e308i", "1/t is -0j"),  # 1/t and 1/(1-t) underflow to zero
+    ("5e-324", "1/t is (inf+0j)"),  # finite t whose reciprocal overflows
+])
+@pytest.mark.parametrize("command", ["det", "orbit"])
+def test_orbit_that_leaves_the_double_range_exits_2(command, t, member, capsys):
+    assert main([command, "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: branch point t must avoid 0 and 1 over its whole "
+                                   "moduli orbit, but in the orbit of t = ")
+    assert captured.err.endswith(f", {member}\n")
+
+
 def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):
     for argv in (["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10"],
                  ["verify", "--suite", "spectral"]):

@@ -1,0 +1,33 @@
+"""Cold start: scipy's ARPACK is imported by the first eigensolve, not by the package.
+
+A fresh interpreter imports conetorus from this checkout's src/, runs the
+closed-form layers and the det command, and only then one spectral solve.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import conetorus
+from conetorus import cli
+conetorus.det_value(0.3 + 0.4j)
+conetorus.g_orbit(0.3 + 0.4j)
+conetorus.conformal_factor_on_torus(conetorus.sigma_from_t(0.3), 0.3, 32)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["det", "--t", "0.3"]) == 0
+assert conetorus.__file__.startswith(sys.argv[1]), conetorus.__file__
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:3]
+conetorus.lowest_eigenvalues(conetorus.flat_operator(1j, 32), 10)
+assert "scipy.sparse.linalg" in sys.modules
+"""
+
+
+def test_scipy_loads_on_the_first_eigensolve_only():
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -74,12 +74,14 @@ def test_t_from_sigma_out_of_range():
 
 def test_t_from_sigma_next_to_zero():
     # t(100 i) ~ -16 exp(-100 pi) is representable although 1 - t and
-    # 1 / (1 - t) round to exactly 1; t_from_sigma returns it unchanged
+    # 1 / (1 - t) round to exactly 1; t_from_sigma returns it unchanged,
+    # while g_orbit refuses the orbit
     t = t_from_sigma(100j)
     ref = mp_t_from_sigma(100j)
     assert t == -5.8409649271928684e-136
     assert abs(t - ref) <= 1e-13 * abs(ref)
-    assert g_orbit(t).members[2] == g_orbit(t).members[3] == 1.0
+    with pytest.raises(DomainError, match=r"orbit of t = .*, 1-t is \(1\+0j\)"):
+        g_orbit(t)
 
 
 def test_sigma_from_t_next_to_zero():
