@@ -187,7 +187,9 @@ def _cmd_spectrum(args) -> dict:
         "outputs": {
             "area": spec.area,
             "diagnostics": {"matvecs": spec.diagnostics.matvecs,
-                            "residual": spec.diagnostics.residual},
+                            "residual": spec.diagnostics.residual,
+                            "resolves": spec.diagnostics.resolves,
+                            "sectors": spec.diagnostics.sectors},
             "eigenvalues": [float(v) for v in spec.eigenvalues],
             "grid_shape": list(spec.grid_shape),
             "seed": spec.seed,

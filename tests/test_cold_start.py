@@ -1,7 +1,8 @@
 """Cold start: scipy's ARPACK is imported by the first eigensolve, not by the package.
 
 A fresh interpreter imports conetorus from this checkout's src/, runs the
-closed-form layers and the det command, and only then one spectral solve.
+closed-form layers and the det command, and only then the spectral solves:
+a sheared lattice (deck sectors, no scipy.fft) and a rectangular one.
 """
 
 import subprocess
@@ -22,8 +23,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["det", "--t", "0.3"]) == 0
 assert conetorus.__file__.startswith(sys.argv[1]), conetorus.__file__
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:3]
-conetorus.lowest_eigenvalues(conetorus.flat_operator(1j, 32), 10)
+conetorus.lowest_eigenvalues(conetorus.flat_operator(0.5 + 1j, 32), 10)
 assert "scipy.sparse.linalg" in sys.modules
+# the DCT/DST transforms load with the first solve of a rectangular lattice
+assert "scipy.fft" not in sys.modules
+conetorus.lowest_eigenvalues(conetorus.flat_operator(1j, 32), 10)
+assert "scipy.fft" in sys.modules
 """
 
 

@@ -18,6 +18,8 @@ import pytest
 
 from conetorus import (
     g_orbit,
+    moduli,
+    reduce_to_fundamental_domain,
     same_moduli_point,
     sigma_from_t,
     t_from_sigma,
@@ -63,6 +65,17 @@ def test_t_from_sigma_toward_the_real_axis():
     for sigma in (0.2 + 0.05j, -0.49 + 0.02j, 0.01j, 0.3 + 1e-3j, 0.001 + 0.0001j):
         ref = mp_t_from_sigma(sigma)
         assert abs(t_from_sigma(sigma) - ref) <= 1e-10 * abs(ref)
+
+
+def test_t_from_sigma_in_every_reduction_class():
+    # one sigma per class mod 2 of the reduction matrix, so that every entry
+    # of the table that picks t(sigma) among the orbit members is used
+    classes = set()
+    for sigma in (-0.6 + 0.1j, 0.3 + 0.3j, -0.7 + 0.15j, -0.7 + 0.3j, -0.55 + 0.1j, 0.1 + 0.3j):
+        classes.add(tuple(x % 2 for x in reduce_to_fundamental_domain(sigma).reduced[1]))
+        ref = mp_t_from_sigma(sigma)
+        assert abs(t_from_sigma(sigma) - ref) <= 1e-10 * abs(ref)
+    assert classes == set(moduli._ORBIT_INDEX)
 
 
 def test_t_from_sigma_out_of_range():

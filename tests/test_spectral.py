@@ -10,6 +10,7 @@ formula across genuinely different surfaces.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -151,6 +152,10 @@ ORACLE_CASES = {
     # middle entry, which belongs to the even sector
     "curved_33x35": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (33, 35)),
     "curved_63x64": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (63, 64)),
+    # real t in (0, 1): a rectangular lattice, solved in the four sectors of
+    # row and column reversal
+    "rectangular": lambda: assemble(sigma_from_t(0.3), 0.3, 64),
+    "rectangular_64x128": lambda: assemble(sigma_from_t(0.3), 0.3, (64, 128)),
 }
 
 
@@ -176,6 +181,31 @@ def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
     # building the odd sector with the even phase solves the even sector twice
     monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
     assert oracle_gap(ORACLE_CASES["curved"]()) > 1e-3
+
+
+def test_sparse_oracle_rejects_a_cosine_where_a_sine_belongs(monkeypatch):
+    # the sin.cos sector built with a DCT along p solves cos.cos twice
+    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (0, 1), (0, 0), (1, 1)))
+    assert oracle_gap(ORACLE_CASES["rectangular"]()) > 1e-3
+
+
+@pytest.mark.parametrize("t, grid, sectors", [
+    (0.3, 64, 4), (0.02, 64, 4), (0.3, (64, 128), 4),
+    (0.3 + 0.4j, 64, 2), (0.3, (33, 35), 2), (0.3, (32, 35), 2),
+])
+def test_sector_count(t, grid, sectors):
+    spec = lowest_eigenvalues(assemble(sigma_from_t(t), t, grid), 12)
+    assert spec.diagnostics.sectors == sectors
+    assert spec.diagnostics.resolves == 0
+
+
+def test_weight_off_row_reversal_takes_the_deck_sectors():
+    # deck-even but not row-even: the solve falls back to the two deck sectors
+    op = ORACLE_CASES["rectangular"]()
+    w = op.weight.copy()
+    w[[0, -1]] = np.nextafter(w[0], np.inf)
+    spec = lowest_eigenvalues(dataclasses.replace(op, weight=w), 12)
+    assert spec.diagnostics.sectors == 2
 
 
 def sector_matrices(n1, n2, phase, basis=_sector_basis):
@@ -243,28 +273,39 @@ def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
 
 
 def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
-    # a sector whose solves never reach the merged cutoff: k doubles up to
-    # the sector dimension 512 - 1, then the solve raises instead of
-    # returning an incomplete list
+    # the first sector's solves never reach the merged cutoff: its k doubles
+    # up to the sector dimension - 1, then the solve raises instead of
+    # returning an incomplete list; every other first solve (k = 7) covers
     ks = []
 
     def short_sector(b_op, k, **kwargs):
         ks.append(k)
-        lam = 2.0 + 0.01 * np.arange(k) if len(ks) == 2 else 1.0 + 0.01 * np.arange(3)
+        covers = len(ks) > 1 and k == 7
+        lam = 2.0 + 0.01 * np.arange(k) if covers else 1.0 + 0.01 * np.arange(3)
         return np.sort(1.0 / lam), np.eye(b_op.shape[0], lam.size)
 
     monkeypatch.setattr(spectral, "eigsh", short_sector)
-    with pytest.raises(ConvergenceError, match="cannot cover"):
-        lowest_eigenvalues(flat_operator(1j, 32), 10)
-    assert ks == [7, 7, 14, 28, 56, 112, 224, 448, 511]
+    for sigma, ks_expected in (
+        # two deck sectors of dimension 512 (sheared lattice)
+        (0.5 + 1j, [7, 7, 14, 28, 56, 112, 224, 448, 511]),
+        # four reflection sectors of dimension 256 (rectangular lattice)
+        (1j, [7, 7, 7, 7, 14, 28, 56, 112, 224, 255]),
+    ):
+        ks.clear()
+        with pytest.raises(ConvergenceError, match="cannot cover"):
+            lowest_eigenvalues(flat_operator(sigma, 32), 10)
+        assert ks == ks_expected
 
 
 def test_assembled_weight_exactly_even():
-    for grid in (64, (33, 35)):
-        op = assemble(sigma_from_t(T_ORACLE), T_ORACLE, grid)
+    for t, grid in itertools.product((T_ORACLE, 0.3), (64, (33, 35))):
+        op = assemble(sigma_from_t(t), t, grid)
         assert np.array_equal(op.weight, op.weight[::-1])
-        raw = conformal_factor_on_torus(sigma_from_t(T_ORACLE), T_ORACLE, grid).values.ravel()
+        raw = conformal_factor_on_torus(sigma_from_t(t), t, grid).values.ravel()
         assert np.max(np.abs(op.weight - raw) / raw) <= 1e-14
+        # at real t the weight is also even under row reversal p -> -p
+        rows = op.weight.reshape(op.grid_shape)
+        assert np.array_equal(rows, rows[::-1]) == (t == 0.3)
 
 
 def test_asymmetric_weight_rejected():
@@ -294,8 +335,9 @@ def test_assembled_operator_structure():
 
 
 def test_wrong_eigenvalues_raise(wrong_eigenvalues):
-    with pytest.raises(ConvergenceError):
-        lowest_eigenvalues(flat_operator(0.5 + 1.0j, 32), 10)
+    for sigma in (0.5 + 1.0j, 1j):  # deck and reflection sectors
+        with pytest.raises(ConvergenceError):
+            lowest_eigenvalues(flat_operator(sigma, 32), 10)
 
 
 @pytest.mark.parametrize("entry, value", [((3, 2), 0.0), ((5, 0), -1.0), ((0, 0), 1.0)])
@@ -349,6 +391,8 @@ def test_spectrum_json_roundtrip(capsys):
     assert d["t"] is None
     assert float(d["diagnostics"]["residual"]) == printed(spec.diagnostics[0])
     assert d["diagnostics"]["matvecs"] == spec.diagnostics[1]
+    assert d["diagnostics"]["sectors"] == spec.diagnostics.sectors == 4
+    assert d["diagnostics"]["resolves"] == spec.diagnostics.resolves
     assert float(d["area"]) == spec.area and float(d["zeta0"]) == spec.zeta0
     assert d["seed"] == 1
 
@@ -375,10 +419,13 @@ EVEN_SECTOR = np.array([l * (l + 1) for l in range(2, 7)
 def even_sector_gap(monkeypatch, t):
     """Largest relative error of the 12 lowest even modes, Richardson-combined.
 
-    Building the odd sector with the even phase doubles each even
-    eigenvalue; every other entry of the merged spectrum is the even one.
+    Building the odd deck sector with the even phase, or, at real t in
+    (0, 1), the cos.sin and sin.cos sectors as cos.cos and sin.sin (whose
+    union is the even deck sector), doubles each even eigenvalue; every
+    other entry of the merged spectrum is the even one.
     """
     monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
+    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (0, 0), (1, 1), (1, 1)))
 
     def even(n):
         return lowest_eigenvalues(assemble(sigma_from_t(t), t, n), 41).eigenvalues[1::2][:12]
