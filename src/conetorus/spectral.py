@@ -20,17 +20,20 @@ The deck involution z -> -z of the double cover of the sphere is, on the
 cell-centred grid, reversal of the flattened array.  K (its symbol is even
 in frequency) and W (made exactly reversal-symmetric by ``assemble``)
 commute with it, so the spectrum is the union of an even and an odd
-sector.  Each sector's Lanczos run works on its coefficients in a cosine
-(even) or sine (odd) Fourier basis: one irfft2 and one rfft2 per matvec.
+sector.  A sector vector is fixed by its first n - n // 2 (even) or
+n // 2 (odd) grid values, and each sector's Lanczos run works on those:
+K^+ is applied within the sector by extending them to the whole grid by
+their parity, one rfft2 and one irfft2.
 
 For real t in (0, 1) the lattice is rectangular (Re sigma = 0) and complex
 conjugation lifts to the torus too: K and W also commute with row reversal
 p -> -p, which ``assemble`` makes exact.  On grids with even sides the
 solve then splits into the four sectors of cosine or sine parity along
-each axis, each a Lanczos run on the (n1/2 x n2/2) quarter grid's
-orthonormal DCT-II/DST-II coefficients (scipy.fft, imported on the first
-such solve), where K is again diagonal: a matvec is four 1-d quarter-size
-transforms, and the Lanczos bases are a quarter of the grid long.
+each axis, each a Lanczos run on the values of the (n1/2 x n2/2) quarter
+grid.  K is diagonal in the quarter grid's orthonormal DCT-II/DST-II
+basis (scipy.fft, imported on the first such solve), so K^+ there is four
+1-d quarter-size transforms, and the Lanczos bases are a quarter of the
+grid long.
 
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
@@ -68,8 +71,8 @@ __all__ = [
     "zeta_det_estimate",
 ]
 
-# phases of the even (cosine) and the odd (sine) sector's Fourier basis
-_SECTOR_PHASES = (1.0, -1.0j)
+# parities of the even and the odd sector of the deck involution
+_DECK_SIGNS = (1.0, -1.0)
 # modes asked of each sector beyond half the nonzero modes of the solve
 _SECTOR_MARGIN = 2
 # (p, q) parities of the four sectors of row and column reversal: 0 is the
@@ -130,20 +133,20 @@ class SolverDiagnostics(NamedTuple):
 
 
 class _Sector(NamedTuple):
-    """One symmetry sector of B, in the coefficients its Lanczos run works on.
+    """One symmetry sector, on the grid values its Lanczos run works on.
 
-    ``to_grid`` maps coefficients, K^(-1/2) applied, to values on the grid
-    of ``weight`` (the whole grid, or a quarter of it), ``to_coef`` is its
-    transpose and ``full`` extends such values to the whole grid.
+    ``weight`` is W on those values, ``mult`` the number of grid points
+    each of them stands for (D), ``full`` extends them to the whole grid by
+    the sector's parity and ``inv_k`` applies K^+ within the sector.
     ``deflate`` is set when the sector holds the constant.
     """
 
     start: np.ndarray
     weight: np.ndarray
+    mult: np.ndarray | float
     deflate: bool
-    to_grid: Callable
-    to_coef: Callable
     full: Callable
+    inv_k: Callable
 
 
 @dataclass
@@ -255,74 +258,49 @@ def flat_operator(sigma, grid_shape) -> AssembledOperator:
     )
 
 
-def _sector_basis(n1: int, n2: int, phase: complex):
-    """Orthonormal basis nu Re(phase e^(i th)) of a sector, th = 2 pi (f p_j + g q_k).
+def _inv_symbol(symbol: np.ndarray) -> np.ndarray:
+    """K^+ on the given entries of its symbol: 1 / symbol, and 0 on the constant mode."""
+    inv = np.zeros(symbol.shape)
+    np.divide(1.0, symbol, out=inv, where=symbol > 0.0)
+    return inv
 
-    At the cell centres p_j, q_k, phase 1 gives cos th (reversal-even) and -i
-    sin th (odd).  Modes are rfft2 half-spectrum entries, f <= n1/2 on its
-    self-conjugate columns; nu = sqrt(2/n), or sqrt(1/n) at the four
-    self-paired (f, g), where a vector that vanishes is dropped.  Returns
-    (index, out, back): flat indices, the factors of _to_grid and _to_coef.
+
+def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray) -> _Sector:
+    """The even (sign 1) or odd (-1) sector of the deck involution, on its first h grid values.
+
+    Reversal of the flattened grid pairs entry i with n - 1 - i, so a sector
+    vector is fixed by its first h = n - n // 2 (even) or n // 2 (odd)
+    entries, each standing for two grid points.  On odd n the middle entry
+    is its own mirror: the even sector keeps it, at multiplicity 1, and the
+    odd sector's vectors vanish there.
     """
-    n = n1 * n2
-    f, g = np.ogrid[:n1, :n2 // 2 + 1]
-    rot = phase * np.exp(1j * math.pi * (f / n1 + g / n2))
-    self_conj = (g == 0) | (2 * g == n2)
-    self_paired = self_conj & ((f == 0) | (2 * f == n1))
-    # there the vector is +-Re(rot), which is +-1 or 0
-    keep = (~self_conj | (2 * f <= n1)) & (~self_paired | (np.abs(rot.real) > 0.5))
-    nu = np.where(self_paired, math.sqrt(1.0 / n), math.sqrt(2.0 / n))
-    # irfft2 doubles the interior columns' entries against their conjugates
-    scale = np.where(self_conj, float(n), 0.5 * n)
-    index = np.flatnonzero(keep)
-    return index, (scale * nu * rot).ravel()[index], (nu * np.conj(rot)).ravel()[index]
-
-
-def _to_grid(shape, index, out, u):
-    """Grid values of the coefficients u: one irfft2 of the scattered half-spectrum."""
-    half = np.zeros((shape[0], shape[1] // 2 + 1), dtype=np.complex128)
-    half.ravel()[index] = out * u
-    return np.fft.irfft2(half, s=shape)
-
-
-def _to_coef(index, back, x):
-    """Coefficients of a grid x (the transpose of _to_grid): one rfft2."""
-    return (back * np.fft.rfft2(x).ravel()[index]).real
-
-
-def _inv_root(symbol: np.ndarray) -> np.ndarray:
-    """K^(-1/2) on the given entries of its symbol, and 0 on the constant mode."""
-    inv_root = np.zeros(symbol.shape)
-    np.divide(1.0, np.sqrt(symbol), out=inv_root, where=symbol > 0.0)
-    return inv_root
-
-
-def _deck_sector(op: AssembledOperator, phase: complex, v0: np.ndarray) -> _Sector:
-    """The even (phase 1) or odd (-i) sector of the deck involution, on _sector_basis coefficients."""
     n1, n2 = op.grid_shape
-    index, out, back = _sector_basis(n1, n2, phase)
-    start = _to_coef(index, back, v0)
-    # K^(-1/2) is diagonal on the basis: fold it into both maps
-    inv_root = _inv_root(op.stiffness.ravel()[index])
-    out *= inv_root
-    back *= inv_root
-    return _Sector(start, op.weight.reshape(n1, n2), True,
-                   partial(_to_grid, op.grid_shape, index, out), partial(_to_coef, index, back),
-                   lambda x: x)
+    n = n1 * n2
+    half = n // 2
+    h = n - half if sign > 0 else half
+    inv_symbol = _inv_symbol(op.stiffness)
+
+    def full(x):
+        y = np.zeros(n)
+        y[:h] = x
+        y[::-1][:half] = sign * x[:half]
+        return y.reshape(n1, n2)
+
+    mult = np.full(h, 2.0)
+    mult[half:] = 1.0
+    return _Sector(v0.ravel()[:h], op.weight[:h], mult, sign > 0, full,
+                   lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:h])
 
 
 def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray) -> _Sector:
     """The sector of the parities (a, b) under row and column reversal, p -> -p and q -> -q.
 
-    Its coefficients live on the quarter grid j < n1/2, k < n2/2, in the
-    orthonormal DCT-II (parity 0) or DST-II (parity 1) basis along each
-    axis.  Extended to the whole grid by the parity, these are the modes
-    cos 2 pi f p_j (0 <= f < n1/2) or sin 2 pi f p_j (0 < f <= n1/2), likewise
-    along q, so K is diagonal there with the entries
-    op.stiffness[a:a + n1/2, b:b + n2/2].  The extension doubles squared
-    norms along each axis; the factor 1/2 it puts on the grid values and the
-    factor 4 it puts on the transpose cancel in B, so both maps are the
-    plain orthonormal transforms.
+    Its vectors are fixed by their values on the quarter grid j < n1/2,
+    k < n2/2, each standing for four grid points.  Extended to the whole
+    grid by the parity, the orthonormal DCT-II (parity 0) or DST-II
+    (parity 1) basis along each axis gives the modes cos 2 pi f p_j
+    (0 <= f < n1/2) or sin 2 pi f p_j (0 < f <= n1/2), likewise along q, so
+    K is diagonal there with the entries op.stiffness[a:a + n1/2, b:b + n2/2].
     """
     from scipy import fft
 
@@ -330,23 +308,21 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray) -> _Sector
     h1, h2 = n1 // 2, n2 // 2
     a, b = parity
     forward, inverse = (fft.dct, fft.dst), (fft.idct, fft.idst)
-    inv_root = _inv_root(op.stiffness[a:a + h1, b:b + h2])
+    inv_symbol = _inv_symbol(op.stiffness[a:a + h1, b:b + h2])
 
-    def to_grid(u):
-        x = inverse[b](inv_root * u.reshape(h1, h2), axis=1, norm="ortho")
-        return inverse[a](x, axis=0, norm="ortho")
-
-    def to_coef(y):
-        return (inv_root * forward[a](forward[b](y, axis=1, norm="ortho"),
-                                      axis=0, norm="ortho")).ravel()
+    def inv_k(x):
+        c = forward[a](forward[b](x.reshape(h1, h2), axis=1, norm="ortho"), axis=0, norm="ortho")
+        x = inverse[b](inv_symbol * c, axis=1, norm="ortho")
+        return inverse[a](x, axis=0, norm="ortho").ravel()
 
     def full(x):
+        x = x.reshape(h1, h2)
         x = np.concatenate((x, (1 - 2 * a) * x[::-1]), axis=0)
         return np.concatenate((x, (1 - 2 * b) * x[:, ::-1]), axis=1)
 
     start = v0[a * h1:(a + 1) * h1, b * h2:(b + 1) * h2].ravel()
-    weight = np.ascontiguousarray(op.weight.reshape(n1, n2)[:h1, :h2])
-    return _Sector(start, weight, parity == (0, 0), to_grid, to_coef, full)
+    weight = op.weight.reshape(n1, n2)[:h1, :h2].ravel()
+    return _Sector(start, weight, 4.0, parity == (0, 0), full, inv_k)
 
 
 def _reflection_even(op: AssembledOperator) -> bool:
@@ -363,18 +339,23 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
 
     The constant vector spans the kernel of K, so lambda_0 = 0 exactly; the
     others are reciprocals of the top eigenvalues of
-    B = K^(+1/2) (W - w w^T / sum w) K^(+1/2).  B commutes with the
-    reversal of the flattened grid (the deck involution z -> -z), and each
-    of its even and odd sectors gets one Lanczos run for
-    ceil((m - 1) / 2) + 2 modes, on coefficients in ``_sector_basis`` where
-    K is diagonal.  When both sides are even and K and W are also exactly
-    even under row reversal p -> -p (a rectangular lattice, real t in
-    (0, 1)), the solve splits into the four sectors of row and column
-    reversal instead, each a Lanczos run for ceil((m - 1) / 4) + 4 modes on
-    quarter-grid DCT-II/DST-II coefficients (``_reflection_sector``); the
-    deck sectors are their unions, cos.cos + sin.sin and cos.sin + sin.cos.
-    The lowest m - 1 of the merged lists are kept.  The runs are
-    deterministic for a fixed seed through the pinned starting vector.
+    B = Q W^(1/2) K^+ W^(1/2) Q, Q the projection off W^(1/2) 1.  B
+    commutes with the reversal of the flattened grid (the deck involution
+    z -> -z), and each of its even and odd sectors gets one Lanczos run for
+    ceil((m - 1) / 2) + 2 modes (``_deck_sector``).  When both sides are
+    even and K and W are also exactly even under row reversal p -> -p (a
+    rectangular lattice, real t in (0, 1)), the solve splits into the four
+    sectors of row and column reversal instead, each a Lanczos run for
+    ceil((m - 1) / 4) + 4 modes (``_reflection_sector``); the deck sectors
+    are their unions, cos.cos + sin.sin and cos.sin + sin.cos.
+
+    Each run works on the sector's own grid values x, each standing for D
+    grid points.  With out = sqrt(D w) and inn = out / D there, B is
+    x -> Q (out K^+ (inn Q x)), Q now the projection off out, applied only
+    in the sector that holds the constant; an eigenvector maps back to the
+    grid as psi = full(K^+ (inn x)) less its W-mean.  The lowest m - 1 of
+    the merged lists are kept.  The runs are deterministic for a fixed
+    seed through the pinned starting vector.
 
     Coverage guard: the merged cutoff must not exceed the largest
     eigenvalue computed in any sector, or that sector could hold a mode
@@ -411,23 +392,24 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         dims = [n // 4] * 4
         k_first = (m + 2) // 4 + _QUARTER_MARGIN  # (m + 2) // 4 = ceil((m - 1) / 4)
     else:
-        makers = [partial(_deck_sector, op, phase, v0) for phase in _SECTOR_PHASES]
-        dims = [n - n // 2, n // 2]  # sizes of _sector_basis for the two phases
+        makers = [partial(_deck_sector, op, sign, v0) for sign in _DECK_SIGNS]
+        dims = [n - n // 2, n // 2]  # sizes of the even and the odd deck sector
         k_first = m // 2 + _SECTOR_MARGIN  # m // 2 = ceil((m - 1) / 2)
     matvecs = resolves = 0
 
     def solve_sector(i, k):
         sector = makers[i]()
-        w_s = sector.weight
-        w_s_total = float(w_s.sum())
+        out = np.sqrt(sector.mult * sector.weight)
+        inn = out / sector.mult
+        unit = out / np.linalg.norm(out)
 
-        def apply_b(u):
+        def project(x):
+            return x - unit * (unit @ x) if sector.deflate else x
+
+        def apply_b(x):
             nonlocal matvecs
             matvecs += 1
-            y = w_s * sector.to_grid(u)
-            if sector.deflate:
-                y -= w_s * (y.sum() / w_s_total)
-            return sector.to_coef(y)
+            return project(out * sector.inv_k(inn * project(x)))
 
         b_op = LinearOperator((dims[i], dims[i]), matvec=apply_b, dtype=np.float64)
         mu, vecs = eigsh(b_op, k=k, which="LA", v0=sector.start, tol=0.0)
@@ -436,8 +418,8 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         lam_s = 1.0 / mu
         residual = 0.0
         # ascending mu: the lowest eigenpairs come last
-        for lam_j, u in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
-            psi = sector.full(sector.to_grid(u))
+        for lam_j, x in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
+            psi = sector.full(sector.inv_k(inn * x))
             psi -= (w * psi).sum() / w_total
             w_psi = lam_j * w * psi
             residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
@@ -494,8 +476,11 @@ def isospectral_orbit_check(spec_a: SpectrumResult, spec_b: SpectrumResult, m: i
 
     spec_b.t must be a member of the moduli orbit of spec_a.t, where the
     two discretizations describe the same surface and differ only by
-    discretization error.
+    discretization error.  A flat spectrum (t is None) has no orbit and is
+    rejected.
     """
+    if spec_a.t is None or spec_b.t is None:
+        raise DomainError("isospectral check needs two cone-metric spectra; a flat one has no t")
     if not any(abs(spec_b.t - mem) <= 1e-12 * max(1.0, abs(mem))
                for mem in g_orbit(spec_a.t).members):
         raise DomainError("spec_b.t is not in the moduli orbit of spec_a.t")
@@ -523,13 +508,14 @@ def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None
     quarter of the computed range.  No parameter is fitted; nothing anchors
     the absolute scale beyond the heat invariants.
 
-    ``coarse``, a spectrum of the same problem at half the grid and the
-    same mode count, switches on h^2 Richardson elimination of the
-    eigenvalue discretization bias (which grows like M^2 h^2 and does not
-    cancel between different moduli).  The staircase-oscillation part of
-    the error is a property of the continuum spectrum and survives: this
-    is a coarse estimator, only good to roughly 0.1 in the log, and best
-    used in differences at matched grid and mode count.
+    ``coarse``, a spectrum of the same problem (equal sigma, t, area and
+    zeta0) at half the grid and the same mode count, switches on h^2
+    Richardson elimination of the eigenvalue discretization bias (which
+    grows like M^2 h^2 and does not cancel between different moduli).  The
+    staircase-oscillation part of the error is a property of the continuum
+    spectrum and survives: this is a coarse estimator, only good to roughly
+    0.1 in the log, and best used in differences at matched grid and mode
+    count.
     """
     if coarse is not None:
         if coarse.eigenvalues.size != spec.eigenvalues.size:
@@ -537,6 +523,10 @@ def zeta_det_estimate(spec: SpectrumResult, coarse: SpectrumResult | None = None
         if 2 * coarse.grid_shape[0] != spec.grid_shape[0] or \
                 2 * coarse.grid_shape[1] != spec.grid_shape[1]:
             raise DomainError("coarse spectrum must come from the half-resolution grid")
+        if (coarse.sigma, coarse.t, coarse.area, coarse.zeta0) != \
+                (spec.sigma, spec.t, spec.area, spec.zeta0):
+            raise DomainError("coarse spectrum must come from the same surface "
+                              "(sigma, t, area and zeta0)")
         fine_val = zeta_det_estimate(spec).log_value
         coarse_val = zeta_det_estimate(coarse).log_value
         return DetValue(log_value=(4.0 * fine_val - coarse_val) / 3.0,

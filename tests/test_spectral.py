@@ -36,7 +36,7 @@ from conetorus import (
     zeta_det_estimate,
 )
 from conetorus.errors import ConvergenceError, DomainError
-from conetorus.spectral import _fourier_multiply, _sector_basis, _to_coef, _to_grid
+from conetorus.spectral import _fourier_multiply
 from conetorus.verify import suite_spectral
 
 
@@ -151,6 +151,8 @@ ORACLE_CASES = {
     # odd sides: at 33 x 35 the reversal of the flattened grid fixes the
     # middle entry, which belongs to the even sector
     "curved_33x35": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (33, 35)),
+    # the cone sits on that middle entry above (weight 1.6e-32); here it has weight 1
+    "flat_33x35": lambda: flat_operator(0.5 + 1j, (33, 35)),
     "curved_63x64": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (63, 64)),
     # real t in (0, 1): a rectangular lattice, solved in the four sectors of
     # row and column reversal
@@ -178,9 +180,24 @@ def test_sparse_oracle_rejects_symbol_without_cross_term():
 
 
 def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
-    # building the odd sector with the even phase solves the even sector twice
-    monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
+    # building the odd sector with the even sign solves the even sector twice
+    monkeypatch.setattr(spectral, "_DECK_SIGNS", (1.0, 1.0))
     assert oracle_gap(ORACLE_CASES["curved"]()) > 1e-3
+
+
+DECK_SECTOR = spectral._deck_sector
+
+
+def fixed_point_at_multiplicity_two(op, sign, v0):
+    """Mutant: the middle entry of an odd grid counted as a mirrored pair."""
+    sector = DECK_SECTOR(op, sign, v0)
+    return sector._replace(mult=np.full(sector.weight.size, 2.0))
+
+
+def test_sparse_oracle_rejects_the_fixed_point_at_multiplicity_two(monkeypatch):
+    monkeypatch.setattr(spectral, "_deck_sector", fixed_point_at_multiplicity_two)
+    with pytest.raises(ConvergenceError, match="residual"):
+        oracle_gap(ORACLE_CASES["flat_33x35"]())
 
 
 def test_sparse_oracle_rejects_a_cosine_where_a_sine_belongs(monkeypatch):
@@ -208,52 +225,76 @@ def test_weight_off_row_reversal_takes_the_deck_sectors():
     assert spec.diagnostics.sectors == 2
 
 
-def sector_matrices(n1, n2, phase, basis=_sector_basis):
-    """Dense embedding E (grid x coefficients) and the dense grid -> coefficient map."""
-    index, out, back = basis(n1, n2, phase)
-    eye = np.eye(index.size)
-    embed = np.stack([_to_grid((n1, n2), index, out, e).ravel() for e in eye], axis=1)
-    eye = np.eye(n1 * n2)
-    restrict = np.stack([_to_coef(index, back, e.reshape(n1, n2)) for e in eye], axis=1)
-    return embed, restrict
+def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
+    """Dense maps of the deck sectors of the flat (n1, n2) torus, and of its quarter-grid sectors.
+
+    The quarter-grid sectors come only on grids with two even sides.
+    Yields (name, D K^+, full, D, parity gap), with ``full`` as an
+    (n1 n2) x dim matrix.  The parity gap is the largest departure of its
+    columns from the sector's parity: under reversal of the flattened grid
+    for a deck sector, under row and under column reversal for a
+    quarter-grid one.
+    """
+    sigma = 0.5 + 1j
+    op = spectral.AssembledOperator(
+        stiffness=spectral._flat_symbol(sigma, n1, n2), weight=np.ones(n1 * n2), sigma=sigma,
+        t=None, grid_shape=(n1, n2), area=1.0, zeta0=-1.0)
+    v0 = np.zeros((n1, n2))
+    sectors = [(f"deck{sign:+.0f}", deck_sector(op, sign, v0), [((0, 1), sign)])
+               for sign in spectral._DECK_SIGNS]
+    if n1 % 2 == 0 and n2 % 2 == 0:
+        sectors += [(f"quarter{a}{b}", spectral._reflection_sector(op, (a, b), v0),
+                     [((0,), 1 - 2 * a), ((1,), 1 - 2 * b)])
+                    for a, b in spectral._REFLECTION_SECTORS]
+    for name, sector, parities in sectors:
+        eye = np.eye(sector.weight.size)
+        mult = np.broadcast_to(sector.mult, eye.shape[:1])
+        dk = np.stack([mult * sector.inv_k(e) for e in eye], axis=1)
+        full = np.stack([sector.full(e) for e in eye], axis=-1)
+        parity = max(np.abs(np.flip(full, axes) - sign * full).max() for axes, sign in parities)
+        yield name, dk, full.reshape(n1 * n2, -1), mult, parity
 
 
-def sector_basis_gaps(n1, n2, basis=_sector_basis):
-    """Largest departures from orthonormality, from transposition and from parity."""
-    gaps = {"orthonormal": 0.0, "transpose": 0.0, "parity": 0.0}
-    for phase, sign in zip(spectral._SECTOR_PHASES, (1.0, -1.0)):
-        e, r = sector_matrices(n1, n2, phase, basis)
-        gaps["orthonormal"] = max(gaps["orthonormal"],
-                                  np.abs(e.T @ e - np.eye(e.shape[1])).max())
-        gaps["transpose"] = max(gaps["transpose"], np.abs(r - e.T).max())
-        gaps["parity"] = max(gaps["parity"], np.abs(e[::-1] - sign * e).max())
-    return gaps
+def sector_map_gaps(n1, n2, deck_sector=DECK_SECTOR):
+    """Largest departures from symmetry of D K^+, from parity and from D = full^T full.
+
+    Also returns each sector's dimension by name.
+    """
+    gaps = {"symmetric": 0.0, "parity": 0.0, "multiplicity": 0.0}
+    fulls, mults = {}, {}
+    for name, dk, full, mult, parity in sector_maps(n1, n2, deck_sector):
+        gaps["symmetric"] = max(gaps["symmetric"], np.abs(dk - dk.T).max() / np.abs(dk).max())
+        gaps["parity"] = max(gaps["parity"], parity)
+        fulls[name], mults[name] = full, mult
+    for family in ("deck", "quarter"):
+        names = [name for name in fulls if name.startswith(family)]
+        if names:
+            # the family's extensions are orthogonal, with squared norms D
+            f = np.concatenate([fulls[name] for name in names], axis=1)
+            d = np.concatenate([mults[name] for name in names])
+            gaps["multiplicity"] = max(gaps["multiplicity"], np.abs(f.T @ f - np.diag(d)).max())
+    return gaps, {name: f.shape[1] for name, f in fulls.items()}
 
 
 SECTOR_GRIDS = [(6, 8), (5, 7), (6, 7), (7, 6), (9, 9)]
 
 
 @pytest.mark.parametrize("grid", SECTOR_GRIDS)
-def test_sector_bases_are_orthonormal_and_split_the_grid(grid):
+def test_sector_maps_are_symmetric_and_split_the_grid(grid):
     n1, n2 = grid
     n = n1 * n2
-    # even columns are reversal-even, odd columns reversal-odd
-    assert all(gap <= 1e-13 for gap in sector_basis_gaps(n1, n2).values())
-    dims = [_sector_basis(n1, n2, phase)[0].size for phase in spectral._SECTOR_PHASES]
-    assert dims == [n - n // 2, n // 2]
+    gaps, dims = sector_map_gaps(n1, n2)
+    assert all(gap <= 1e-13 for gap in gaps.values()), gaps
+    assert [dims["deck+1"], dims["deck-1"]] == [n - n // 2, n // 2]
+    quarters = [dims[name] for name in dims if name.startswith("quarter")]
+    assert quarters == ([n // 4] * 4 if n1 % 2 == 0 and n2 % 2 == 0 else [])
 
 
-def test_sector_orthonormality_rejects_self_paired_modes_at_the_paired_norm():
-    # normalizing the self-paired modes by sqrt(2 / n), like every other mode
-    def mutant(n1, n2, phase):
-        index, out, back = _sector_basis(n1, n2, phase)
-        f, g = np.unravel_index(index, (n1, n2 // 2 + 1))
-        paired = ((f == 0) | (2 * f == n1)) & ((g == 0) | (2 * g == n2))
-        wrong = np.where(paired, math.sqrt(2.0), 1.0)
-        return index, wrong * out, wrong * back
-
-    for n1, n2 in SECTOR_GRIDS:
-        assert sector_basis_gaps(n1, n2, mutant)["orthonormal"] > 0.1
+def test_sector_map_check_rejects_the_fixed_point_at_multiplicity_two():
+    # only grids with two odd sides have a fixed point
+    for n1, n2 in ((5, 7), (9, 9)):
+        gaps, _ = sector_map_gaps(n1, n2, fixed_point_at_multiplicity_two)
+        assert gaps["symmetric"] > 0.1 and gaps["multiplicity"] == 1.0
 
 
 def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
@@ -419,12 +460,12 @@ EVEN_SECTOR = np.array([l * (l + 1) for l in range(2, 7)
 def even_sector_gap(monkeypatch, t):
     """Largest relative error of the 12 lowest even modes, Richardson-combined.
 
-    Building the odd deck sector with the even phase, or, at real t in
+    Building the odd deck sector with the even sign, or, at real t in
     (0, 1), the cos.sin and sin.cos sectors as cos.cos and sin.sin (whose
     union is the even deck sector), doubles each even eigenvalue; every
     other entry of the merged spectrum is the even one.
     """
-    monkeypatch.setattr(spectral, "_SECTOR_PHASES", (1.0, 1.0))
+    monkeypatch.setattr(spectral, "_DECK_SIGNS", (1.0, 1.0))
     monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (0, 0), (1, 1), (1, 1)))
 
     def even(n):
@@ -514,6 +555,11 @@ def test_isospectral_identity_and_guard():
     assert isospectral_orbit_check(spec, moved, 10) == 0.0
     with pytest.raises(DomainError):
         isospectral_orbit_check(spec, spec, 11)
+    # a flat spectrum has no t, so no orbit
+    flat = lowest_eigenvalues(flat_operator(spec.sigma, 64), 11, seed=0)
+    for spec_a, spec_b in ((flat, spec), (spec, flat), (flat, flat)):
+        with pytest.raises(DomainError, match="flat"):
+            isospectral_orbit_check(spec_a, spec_b, 10)
 
 
 def test_zeta_estimate_guards(spec_t03_256):
@@ -537,6 +583,13 @@ def test_zeta_richardson_input_validation():
         zeta_det_estimate(fine, fine)
     est = zeta_det_estimate(fine, coarse)
     assert est.up_to_constant is False
+    # a coarse spectrum of another surface
+    for other in (lowest_eigenvalues(flat_operator(2j, 64), 60, seed=0),
+                  dataclasses.replace(coarse, t=0.3 + 0.0j),
+                  dataclasses.replace(coarse, area=2.0 * math.pi),
+                  dataclasses.replace(coarse, zeta0=-23.0 / 24.0)):
+        with pytest.raises(DomainError, match="same surface"):
+            zeta_det_estimate(fine, other)
 
 
 def test_zeta_flat_calibration_and_stability():
