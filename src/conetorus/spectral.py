@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,13 +72,9 @@ __all__ = [
 
 # parities of the even and the odd sector of the deck involution
 _DECK_SIGNS = (1.0, -1.0)
-# modes asked of each sector beyond half the nonzero modes of the solve
-_SECTOR_MARGIN = 2
 # (p, q) parities of the four sectors of row and column reversal: 0 is the
 # cosine (DCT-II) basis along that axis, 1 the sine (DST-II) basis
 _REFLECTION_SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# modes asked of each of them beyond a quarter of the nonzero modes
-_QUARTER_MARGIN = 4
 # lowest eigenpairs of each sector whose residual every solve measures
 _CHECKED_PAIRS = 2
 
@@ -341,13 +336,13 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     others are reciprocals of the top eigenvalues of
     B = Q W^(1/2) K^+ W^(1/2) Q, Q the projection off W^(1/2) 1.  B
     commutes with the reversal of the flattened grid (the deck involution
-    z -> -z), and each of its even and odd sectors gets one Lanczos run for
-    ceil((m - 1) / 2) + 2 modes (``_deck_sector``).  When both sides are
-    even and K and W are also exactly even under row reversal p -> -p (a
-    rectangular lattice, real t in (0, 1)), the solve splits into the four
-    sectors of row and column reversal instead, each a Lanczos run for
-    ceil((m - 1) / 4) + 4 modes (``_reflection_sector``); the deck sectors
-    are their unions, cos.cos + sin.sin and cos.sin + sin.cos.
+    z -> -z), and splits into its even and odd sectors (``_deck_sector``).
+    When both sides are even and K and W are also exactly even under row
+    reversal p -> -p (a rectangular lattice, real t in (0, 1)), it splits
+    into the four sectors of row and column reversal instead
+    (``_reflection_sector``); the deck sectors are their unions,
+    cos.cos + sin.sin and cos.sin + sin.cos.  Each of the S sectors gets
+    one Lanczos run for ceil((m - 1) / S) + S modes.
 
     Each run works on the sector's own grid values x, each standing for D
     grid points.  With out = sqrt(D w) and inn = out / D there, B is
@@ -359,11 +354,12 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
 
     Coverage guard: the merged cutoff must not exceed the largest
     eigenvalue computed in any sector, or that sector could hold a mode
-    below it that was not computed; a sector that falls short is solved
-    again with twice the modes, up to its dimension, and ConvergenceError
-    is raised if even that does not cover the cutoff.  The two lowest
-    eigenpairs of each sector, from the same runs, must have a residual
-    below 1e-8, measured with K and W on the full grid.  Requires
+    below it that was not computed.  A sector of k modes that falls short,
+    with c merged modes above its top, is solved again with k + c + 1, up
+    to its dimension less one, and ConvergenceError is raised if even that
+    does not cover the cutoff.  The two lowest eigenpairs of each sector,
+    from the same runs, must have a residual below 1e-8, measured with K
+    and W on the full grid.  Requires
     10 <= m <= (number of grid points) / 10 and a weight exactly even under
     the reversal (DomainError otherwise).
     """
@@ -386,19 +382,14 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     w = op.weight.reshape(n1, n2)
     w_total = float(w.sum())
     v0 = np.random.default_rng(seed).standard_normal((n1, n2))
-    # each solve builds its sector afresh, so no two sectors' maps are held at once
     if _reflection_even(op):
-        makers = [partial(_reflection_sector, op, parity, v0) for parity in _REFLECTION_SECTORS]
-        dims = [n // 4] * 4
-        k_first = (m + 2) // 4 + _QUARTER_MARGIN  # (m + 2) // 4 = ceil((m - 1) / 4)
+        sectors = [_reflection_sector(op, parity, v0) for parity in _REFLECTION_SECTORS]
     else:
-        makers = [partial(_deck_sector, op, sign, v0) for sign in _DECK_SIGNS]
-        dims = [n - n // 2, n // 2]  # sizes of the even and the odd deck sector
-        k_first = m // 2 + _SECTOR_MARGIN  # m // 2 = ceil((m - 1) / 2)
+        sectors = [_deck_sector(op, sign, v0) for sign in _DECK_SIGNS]
     matvecs = resolves = 0
 
-    def solve_sector(i, k):
-        sector = makers[i]()
+    def solve_sector(sector, k):
+        dim = sector.start.size
         out = np.sqrt(sector.mult * sector.weight)
         inn = out / sector.mult
         unit = out / np.linalg.norm(out)
@@ -411,7 +402,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
             matvecs += 1
             return project(out * sector.inv_k(inn * project(x)))
 
-        b_op = LinearOperator((dims[i], dims[i]), matvec=apply_b, dtype=np.float64)
+        b_op = LinearOperator((dim, dim), matvec=apply_b, dtype=np.float64)
         mu, vecs = eigsh(b_op, k=k, which="LA", v0=sector.start, tol=0.0)
         if not np.all(mu > 0.0):
             raise ConvergenceError("spectral gap not resolved; got a nonpositive lambda")
@@ -426,20 +417,24 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
                                            / np.linalg.norm(w_psi)))
         return lam_s, residual
 
-    # eigsh needs k < dim
-    ks = [min(k_first, dim - 1) for dim in dims]
-    solved = [solve_sector(i, k) for i, k in enumerate(ks)]
+    # ceil((m - 1) / S) + S modes from each of the S sectors; eigsh needs k < dim
+    k_first = -(-(m - 1) // len(sectors)) + len(sectors)
+    ks = [min(k_first, sector.start.size - 1) for sector in sectors]
+    solved = [solve_sector(sector, k) for sector, k in zip(sectors, ks)]
     while True:
         lam = np.sort(np.concatenate([lam_s for lam_s, _ in solved]))[:m - 1]
         short = [i for i, (lam_s, _) in enumerate(solved) if lam_s.max() < lam[-1]]
         if not short:
             break
         for i in short:
-            k_max = dims[i] - 1
+            k_max = sectors[i].start.size - 1
             if ks[i] >= k_max:
                 raise ConvergenceError("a parity sector cannot cover the requested modes")
-            ks[i] = min(2 * ks[i], k_max)
-            solved[i] = solve_sector(i, ks[i])
+            # the merged modes at or below this sector's top are true modes
+            # below the cutoff, so at most c - 1 of its missing ones are too
+            c = int(np.count_nonzero(lam > solved[i][0].max()))
+            ks[i] = min(ks[i] + c + 1, k_max)
+            solved[i] = solve_sector(sectors[i], ks[i])
             resolves += 1
 
     residual = max(r for _, r in solved)
@@ -450,7 +445,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         grid_shape=op.grid_shape,
         sigma=op.sigma,
         t=op.t,
-        diagnostics=SolverDiagnostics(residual, matvecs, len(dims), resolves),
+        diagnostics=SolverDiagnostics(residual, matvecs, len(sectors), resolves),
         area=op.area,
         zeta0=op.zeta0,
         seed=seed,
@@ -484,8 +479,8 @@ def isospectral_orbit_check(spec_a: SpectrumResult, spec_b: SpectrumResult, m: i
     if not any(abs(spec_b.t - mem) <= 1e-12 * max(1.0, abs(mem))
                for mem in g_orbit(spec_a.t).members):
         raise DomainError("spec_b.t is not in the moduli orbit of spec_a.t")
-    if min(spec_a.eigenvalues.size, spec_b.eigenvalues.size) < m + 1:
-        raise DomainError(f"both spectra must hold at least {m} nonzero modes")
+    if not 1 <= m < min(spec_a.eigenvalues.size, spec_b.eigenvalues.size):
+        raise DomainError(f"m = {m}: need m >= 1 and both spectra holding m nonzero modes")
     la, lb = spec_a.eigenvalues[1:m + 1], spec_b.eigenvalues[1:m + 1]
     return float(np.max(np.abs(la - lb) / la))
 

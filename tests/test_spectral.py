@@ -297,26 +297,43 @@ def test_sector_map_check_rejects_the_fixed_point_at_multiplicity_two():
         assert gaps["symmetric"] > 0.1 and gaps["multiplicity"] == 1.0
 
 
-def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
-    # without the margin each sector is asked for 7 of the 14 nonzero modes;
-    # they split unevenly here, so one sector is solved again with k = 14
-    monkeypatch.setattr(spectral, "_SECTOR_MARGIN", 0)
+def counted_requests(monkeypatch, cut_first=0):
+    """Record the k of every eigsh call; the first call asks for cut_first fewer modes."""
     ks = []
     solve = spectral.eigsh
 
     def counted(*args, **kwargs):
+        if not ks:
+            kwargs["k"] -= cut_first
         ks.append(kwargs["k"])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "eigsh", counted)
-    assert oracle_gap(ORACLE_CASES["curved"](), m=15) <= 1e-10
-    assert ks == [7, 7, 14]
+    return ks
+
+
+def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
+    # each reflection sector is asked for ceil(59 / 4) + 4 = 19 modes; the
+    # 59 split unevenly here, and cos.cos, short of the merged cutoff with
+    # one merged mode above its top, is solved again with 19 + 1 + 1
+    ks = counted_requests(monkeypatch)
+    assert oracle_gap(ORACLE_CASES["rectangular"](), m=60) <= 1e-10
+    assert ks == [19, 19, 19, 19, 21]
+
+
+def test_coverage_resolve_of_a_deck_sector_matches_sparse_oracle(monkeypatch):
+    # the even deck sector asked for 10 - 3 modes falls short with four
+    # merged modes above its top, and is solved again with 7 + 4 + 1
+    ks = counted_requests(monkeypatch, cut_first=3)
+    assert oracle_gap(ORACLE_CASES["curved"]()) <= 1e-10
+    assert ks == [7, 10, 12]
 
 
 def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
-    # the first sector's solves never reach the merged cutoff: its k doubles
-    # up to the sector dimension - 1, then the solve raises instead of
-    # returning an incomplete list; every other first solve (k = 7) covers
+    # the first sector's solves never reach the merged cutoff, with six
+    # merged modes above their top: its k grows by 7 up to the sector
+    # dimension - 1, then the solve raises instead of returning an
+    # incomplete list; every other first solve (k = 7) covers
     ks = []
 
     def short_sector(b_op, k, **kwargs):
@@ -328,9 +345,9 @@ def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
     monkeypatch.setattr(spectral, "eigsh", short_sector)
     for sigma, ks_expected in (
         # two deck sectors of dimension 512 (sheared lattice)
-        (0.5 + 1j, [7, 7, 14, 28, 56, 112, 224, 448, 511]),
+        (0.5 + 1j, [7, 7, *range(14, 505, 7), 511]),
         # four reflection sectors of dimension 256 (rectangular lattice)
-        (1j, [7, 7, 7, 7, 14, 28, 56, 112, 224, 255]),
+        (1j, [7, 7, 7, 7, *range(14, 253, 7), 255]),
     ):
         ks.clear()
         with pytest.raises(ConvergenceError, match="cannot cover"):
@@ -553,8 +570,9 @@ def test_isospectral_identity_and_guard():
     # the orbit guard allows 1e-12 max(1, |t|) of rounding
     moved = dataclasses.replace(spec, t=spec.t * (1.0 + 5e-13))
     assert isospectral_orbit_check(spec, moved, 10) == 0.0
-    with pytest.raises(DomainError):
-        isospectral_orbit_check(spec, spec, 11)
+    for m in (11, 0, -1):
+        with pytest.raises(DomainError):
+            isospectral_orbit_check(spec, spec, m)
     # a flat spectrum has no t, so no orbit
     flat = lowest_eigenvalues(flat_operator(spec.sigma, 64), 11, seed=0)
     for spec_a, spec_b in ((flat, spec), (spec, flat), (flat, flat)):
