@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "BranchCutError",
+    "ConvergenceError",
+    "NormalizationError",
+    "BranchConventionWarning",
+]
+
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""

@@ -207,8 +207,7 @@ class ConformalField:
     Samples live at z = (j + 1/2)/n1 + sigma (k + 1/2)/n2 (half-cell offset,
     so no sample hits a ramification point).  ``singular_points`` lists
     pairs ((j, k), order): the grid index nearest to a distinguished point
-    of the metric and the local vanishing order of e^(2 phi) there.  The
-    order is 2 at the cone point and 0 at the smooth points over 0, 1, oo.
+    of the metric and the local vanishing order of e^(2 phi) there.
     """
 
     sigma: complex

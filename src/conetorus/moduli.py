@@ -29,6 +29,7 @@ __all__ = [
     "t_from_sigma",
     "g_orbit",
     "same_moduli_point",
+    "unimodular_equivalent",
     "validate_t",
 ]
 
@@ -135,17 +136,24 @@ def t_from_sigma(sigma) -> complex:
     series are short and theta[0,1] is near 1, and t follows from the
     anharmonic map of M mod 2.  So t keeps its relative accuracy as
     Im sigma -> 0; where it leaves the double range, DomainError is raised.
-    Composing with sigma_from_t returns a point in the same group orbit as
-    the input (not necessarily the identical representative).
+    DomainError is also raised where t lies within 2^-52 of 1: there 1 - t
+    keeps none of the digits of the small reduced value.  A t within about
+    1e-8 of 1 still loses part of them, since 1 - t then carries a relative
+    error of about 1e-16 / |1 - t|.  Composing with sigma_from_t returns a
+    point in the same group orbit as the input (not necessarily the
+    identical representative).
     """
     s = as_sigma(sigma)
     red, (a, b, c, d) = reduce_to_fundamental_domain(s).reduced
     t_red = -((theta((1, 0), 0.0, red) / theta((0, 1), 0.0, red)) ** 4)
     try:
         members = _orbit_members(validate_t(t_red))
-        return validate_t(members[_ORBIT_INDEX[(a % 2, b % 2, c % 2, d % 2)]])
+        t = validate_t(members[_ORBIT_INDEX[(a % 2, b % 2, c % 2, d % 2)]])
+        if abs(t - 1.0) < 2.0 ** -52:
+            raise DomainError
     except DomainError:
         raise DomainError(f"t(sigma) is not representable in double precision at {s}") from None
+    return t
 
 
 def unimodular_equivalent(s1, s2, tol: float = 1.0e-9) -> bool:

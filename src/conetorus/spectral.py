@@ -260,20 +260,20 @@ def _inv_symbol(symbol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray) -> _Sector:
+def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray,
+                 inv_symbol: np.ndarray) -> _Sector:
     """The even (sign 1) or odd (-1) sector of the deck involution, on its first h grid values.
 
     Reversal of the flattened grid pairs entry i with n - 1 - i, so a sector
     vector is fixed by its first h = n - n // 2 (even) or n // 2 (odd)
     entries, each standing for two grid points.  On odd n the middle entry
     is its own mirror: the even sector keeps it, at multiplicity 1, and the
-    odd sector's vectors vanish there.
+    odd sector's vectors vanish there.  inv_symbol is K^+ on op.stiffness.
     """
     n1, n2 = op.grid_shape
     n = n1 * n2
     half = n // 2
     h = n - half if sign > 0 else half
-    inv_symbol = _inv_symbol(op.stiffness)
 
     def full(x):
         y = np.zeros(n)
@@ -287,7 +287,8 @@ def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray) -> _Sector:
                    lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:h])
 
 
-def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray) -> _Sector:
+def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray,
+                       inv_symbol: np.ndarray) -> _Sector:
     """The sector of the parities (a, b) under row and column reversal, p -> -p and q -> -q.
 
     Its vectors are fixed by their values on the quarter grid j < n1/2,
@@ -295,7 +296,8 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray) -> _Sector
     grid by the parity, the orthonormal DCT-II (parity 0) or DST-II
     (parity 1) basis along each axis gives the modes cos 2 pi f p_j
     (0 <= f < n1/2) or sin 2 pi f p_j (0 < f <= n1/2), likewise along q, so
-    K is diagonal there with the entries op.stiffness[a:a + n1/2, b:b + n2/2].
+    K is diagonal there with the entries op.stiffness[a:a + n1/2, b:b + n2/2];
+    inv_symbol is K^+ on the same entries.
     """
     from scipy import fft
 
@@ -303,7 +305,6 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray) -> _Sector
     h1, h2 = n1 // 2, n2 // 2
     a, b = parity
     forward, inverse = (fft.dct, fft.dst), (fft.idct, fft.idst)
-    inv_symbol = _inv_symbol(op.stiffness[a:a + h1, b:b + h2])
 
     def inv_k(x):
         c = forward[a](forward[b](x.reshape(h1, h2), axis=1, norm="ortho"), axis=0, norm="ortho")
@@ -382,10 +383,13 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     w = op.weight.reshape(n1, n2)
     w_total = float(w.sum())
     v0 = np.random.default_rng(seed).standard_normal((n1, n2))
+    inv_symbol = _inv_symbol(symbol)
     if _reflection_even(op):
-        sectors = [_reflection_sector(op, parity, v0) for parity in _REFLECTION_SECTORS]
+        h1, h2 = n1 // 2, n2 // 2
+        sectors = [_reflection_sector(op, (a, b), v0, inv_symbol[a:a + h1, b:b + h2])
+                   for a, b in _REFLECTION_SECTORS]
     else:
-        sectors = [_deck_sector(op, sign, v0) for sign in _DECK_SIGNS]
+        sectors = [_deck_sector(op, sign, v0, inv_symbol) for sign in _DECK_SIGNS]
     matvecs = resolves = 0
 
     def solve_sector(sector, k):

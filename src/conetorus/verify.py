@@ -2,8 +2,10 @@
 
 Each suite draws its sample points from a seeded generator, runs a batch of
 identity checks at the tolerances in DEFAULT_TOLERANCES, and returns one
-CheckResult per named check.  Suites take no arguments: the tolerances,
-the samples and the spectral grid are fixed, so reruns are byte-identical.
+CheckResult per named check.  A check passes when its worst residual is
+below its tolerance; a NaN residual fails.  Suites take no arguments: the
+tolerances, the samples and the spectral grid are fixed, so reruns are
+byte-identical.
 
 Suites:
   symmetry     F(t) = F(1/t) = F(1-t) on 200 annulus samples
@@ -44,7 +46,7 @@ from .moduli import g_orbit, same_moduli_point, sigma_from_t, t_from_sigma, unim
 from .numdiff import laplacian5, wirtinger
 from .spectral import assemble, isospectral_orbit_check, lowest_eigenvalues, weyl_check
 
-__all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITES", "run_suite"]
+__all__ = ["CheckResult", "DEFAULT_TOLERANCES", "run_suite"]
 
 DEFAULT_TOLERANCES = {
     "f_symmetry": 1.0e-12,
@@ -86,66 +88,69 @@ class CheckResult:
         )
 
 
-def _annulus_samples(rng, n: int, min_dist: float = 0.05, box: float = 6.0):
-    """t samples with min_dist < |t|, |t-1| and |t| well below 20."""
+def _check(name: str, count: int, residuals, detail: str = "") -> CheckResult:
+    """The pass rule: the worst residual must lie below DEFAULT_TOLERANCES[name].
+
+    The worst is np.max of the residuals, which keeps a NaN, so a NaN
+    residual fails.  A check that counts failures at the tolerance passes
+    ``residuals`` as the function of the tolerance that returns that count.
+    """
+    tol = DEFAULT_TOLERANCES[name]
+    worst = float(np.max(residuals(tol) if callable(residuals) else residuals))
+    return CheckResult(name, worst < tol, worst, tol, count, detail)
+
+
+def _draw(rng, n: int, draw, keep) -> list:
+    """The first n values of draw(rng) that satisfy keep (rejection sampling)."""
     out = []
     while len(out) < n:
-        t = complex(rng.uniform(-box, box + 1.0), rng.uniform(-box, box))
-        if abs(t) > min_dist and abs(t - 1.0) > min_dist:
-            out.append(t)
+        z = draw(rng)
+        if keep(z):
+            out.append(z)
     return out
 
 
-def _upper_samples(rng, n: int, im_lo: float = 0.15, im_hi: float = 1.2):
-    """t samples in the upper half-plane, away from 0, 1, and the real axis."""
-    out = []
-    while len(out) < n:
-        t = complex(rng.uniform(-2.0, 3.0), rng.uniform(im_lo, im_hi))
-        if abs(t) > 0.2 and abs(t - 1.0) > 0.2:
-            out.append(t)
-    return out
+def _annulus_samples(rng, n: int) -> list[complex]:
+    """t in the box [-6, 7] x [-6, 6] with |t| and |t - 1| above 0.05."""
+    return _draw(rng, n, lambda r: complex(r.uniform(-6.0, 7.0), r.uniform(-6.0, 6.0)),
+                 lambda t: abs(t) > 0.05 and abs(t - 1.0) > 0.05)
+
+
+def _upper_samples(rng, n: int) -> list[complex]:
+    """t in the strip 0.15 < Im t < 1.2, -2 < Re t < 3, with |t| and |t - 1| above 0.2."""
+    return _draw(rng, n, lambda r: complex(r.uniform(-2.0, 3.0), r.uniform(0.15, 1.2)),
+                 lambda t: abs(t) > 0.2 and abs(t - 1.0) > 0.2)
 
 
 def suite_symmetry() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
-    tol = DEFAULT_TOLERANCES["f_symmetry"]
-    worst = 0.0
     n = 200
+    gaps = []
     for t in _annulus_samples(rng, n):
         f0 = F(t)
-        for image in (1.0 / t, 1.0 - t):
-            worst = max(worst, abs(F(image) - f0) / f0)
-    return [CheckResult("f_symmetry", worst < tol, worst, tol, n)]
+        gaps.append([abs(F(image) - f0) / f0 for image in (1.0 / t, 1.0 - t)])
+    return [_check("f_symmetry", n, gaps)]
 
 
 def suite_roundtrip() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 1)
     results = []
 
-    tol = DEFAULT_TOLERANCES["roundtrip_orbit"]
     n = 50
-    bad = 0
-    for t in _annulus_samples(rng, n):
-        t_back = t_from_sigma(sigma_from_t(t))
-        if not same_moduli_point(t, t_back, tol=tol):
-            bad += 1
-    results.append(
-        CheckResult("roundtrip_orbit", bad == 0, float(bad), tol, n,
-                    detail="residual counts failed round trips")
-    )
+    samples = _annulus_samples(rng, n)
+    results.append(_check("roundtrip_orbit", n, lambda tol: sum(
+        not same_moduli_point(t, t_from_sigma(sigma_from_t(t)), tol=tol) for t in samples),
+        detail="residual counts failed round trips"))
 
-    tol = DEFAULT_TOLERANCES["det_orbit"]
     n = 50
-    worst = 0.0
+    gaps = []
     for t in _upper_samples(rng, n):
         base = det_value(t)
-        for member in g_orbit(t).members[1:]:
-            worst = max(worst, abs(det_value(member) - base))
-    results.append(CheckResult("det_orbit", worst < tol, worst, tol, n))
+        gaps.append([abs(det_value(member) - base) for member in g_orbit(t).members[1:]])
+    results.append(_check("det_orbit", n, gaps))
 
-    tol = DEFAULT_TOLERANCES["sigma_reduction"]
     n = 25
-    bad = 0
+    pairs = []
     for _ in range(n):
         s = complex(rng.uniform(-2.0, 2.0), math.exp(rng.uniform(-1.5, 1.5)))
         # random SL(2, Z) word: alternating translations and inversions
@@ -154,13 +159,10 @@ def suite_roundtrip() -> list[CheckResult]:
             k = int(rng.integers(-3, 4))
             a, b = a + k * c, b + k * d
             a, b, c, d = -c, -d, a, b
-        moved = (a * s + b) / (c * s + d)
-        if not unimodular_equivalent(s, moved, tol=tol):
-            bad += 1
-    results.append(
-        CheckResult("sigma_reduction", bad == 0, float(bad), tol, n,
-                    detail="residual counts failed equivalences")
-    )
+        pairs.append((s, (a * s + b) / (c * s + d)))
+    results.append(_check("sigma_reduction", n, lambda tol: sum(
+        not unimodular_equivalent(s, moved, tol=tol) for s, moved in pairs),
+        detail="residual counts failed equivalences"))
     return results
 
 
@@ -168,30 +170,22 @@ def suite_variational() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 2)
     results = []
 
-    tol = DEFAULT_TOLERANCES["b_dual"]
     n = 30
-    worst = 0.0
-    for t in _upper_samples(rng, n):
-        worst = max(worst, abs(b_minus_inf_from_AB(t) - b_minus_inf_closed(t)))
-    results.append(CheckResult("b_dual", worst < tol, worst, tol, n))
+    results.append(_check("b_dual", n, [abs(b_minus_inf_from_AB(t) - b_minus_inf_closed(t))
+                                        for t in _upper_samples(rng, n)]))
 
-    tol = DEFAULT_TOLERANCES["variational_identity"]
     n = 20
-    worst = 0.0
+    gaps = []
     for t in _upper_samples(rng, n):
         lhs = wirtinger(lambda z: det_value(z).log_value, t)
         rhs = 0.5 * (schiffer_b0(t) - b_minus_inf_closed(t))
-        worst = max(worst, abs(lhs - rhs))
-    results.append(CheckResult("variational_identity", worst < tol, worst, tol, n))
+        gaps.append(abs(lhs - rhs))
+    results.append(_check("variational_identity", n, gaps))
 
-    tol = DEFAULT_TOLERANCES["prelim_consistency"]
     n = 50
     diffs = np.array([det_prelim(t) - det_value(t) for t in _upper_samples(rng, n)])
-    spread = float(np.std(diffs))
-    results.append(
-        CheckResult("prelim_consistency", spread < tol, spread, tol, n,
-                    detail="residual is the standard deviation of the difference")
-    )
+    results.append(_check("prelim_consistency", n, np.std(diffs),
+                          detail="residual is the standard deviation of the difference"))
     return results
 
 
@@ -199,35 +193,23 @@ def suite_curvature() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED + 3)
     results = []
 
-    tol = DEFAULT_TOLERANCES["pushforward"]
     n = 50
-    worst = 0.0
-    got = 0
-    while got < n:
-        z = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-        if abs(z) >= 0.97 or abs(z) < 0.05 or abs(z - 1j) < 0.05 or abs(z - 1.0) < 0.05:
-            continue
-        got += 1
+    gaps = []
+    zs = _draw(rng, n, lambda r: complex(r.uniform(0.0, 1.0), r.uniform(0.0, 1.0)),
+               lambda z: 0.05 <= abs(z) < 0.97 and abs(z - 1j) >= 0.05 and abs(z - 1.0) >= 0.05)
+    for z in zs:
         lhs = metric_rho(conformal_map(z)) * abs(conformal_map_prime(z)) ** 2
         rhs = round_sphere_density(z)
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    results.append(CheckResult("pushforward", worst < tol, worst, tol, n))
+        gaps.append(abs(lhs - rhs) / rhs)
+    results.append(_check("pushforward", n, gaps))
 
-    tol = DEFAULT_TOLERANCES["curvature_one"]
     n = 100
-    worst = 0.0
-    got = 0
-    while got < n:
-        w = complex(rng.uniform(-4.0, 5.0), rng.uniform(-4.0, 4.0))
-        if abs(w) < 0.3 or abs(w - 1.0) < 0.3 or abs(w) > 5.0:
-            continue
-        got += 1
-        worst = max(worst, abs(gauss_curvature(w) - 1.0))
-    results.append(CheckResult("curvature_one", worst < tol, worst, tol, n))
+    ws = _draw(rng, n, lambda r: complex(r.uniform(-4.0, 5.0), r.uniform(-4.0, 4.0)),
+               lambda w: 0.3 <= abs(w) <= 5.0 and abs(w - 1.0) >= 0.3)
+    results.append(_check("curvature_one", n, [abs(gauss_curvature(w) - 1.0) for w in ws]))
 
-    tol = DEFAULT_TOLERANCES["curvature_oracle"]
     n = 20
-    worst = 0.0
+    gaps = []
     for _ in range(n):
         w = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         # larger step than the metric_rho case: truncation is negligible for
@@ -235,8 +217,8 @@ def suite_curvature() -> list[CheckResult]:
         k = -laplacian5(lambda p: math.log(round_sphere_density(p)), w, 5.0e-3) / (
             2.0 * round_sphere_density(w)
         )
-        worst = max(worst, abs(k - 1.0))
-    results.append(CheckResult("curvature_oracle", worst < tol, worst, tol, n))
+        gaps.append(abs(k - 1.0))
+    results.append(_check("curvature_oracle", n, gaps))
     return results
 
 
@@ -254,38 +236,24 @@ def suite_spectral() -> list[CheckResult]:
     results = []
     op = assemble(sigma_from_t(t), t, grid)
 
-    tol = DEFAULT_TOLERANCES["grid_area"]
     # midpoint-rule area of the sampled conformal factor
     area = float(op.weight.sum()) * op.sigma.imag / op.weight.size
-    resid = abs(area - 2.0 * math.pi) / (2.0 * math.pi)
-    results.append(
-        CheckResult("grid_area", resid < tol, resid, tol, 1,
-                    detail=f"area {area:.6f} vs 2*pi")
-    )
+    results.append(_check("grid_area", 1, abs(area - 2.0 * math.pi) / (2.0 * math.pi),
+                          detail=f"area {area:.6f} vs 2*pi"))
 
     spec = lowest_eigenvalues(op, modes)
+    results.append(_check("zero_mode", 1, spec.diagnostics.residual))
 
-    tol = DEFAULT_TOLERANCES["zero_mode"]
-    resid = spec.diagnostics.residual
-    results.append(CheckResult("zero_mode", resid < tol, resid, tol, 1))
-
-    tol = DEFAULT_TOLERANCES["weyl_slope"]
     slope = weyl_check(spec)
-    resid = abs(slope - 0.5)
-    results.append(
-        CheckResult("weyl_slope", resid < tol, resid, tol, 1,
-                    detail=f"slope {slope:.4f} vs 0.5")
-    )
+    results.append(_check("weyl_slope", 1, abs(slope - 0.5), detail=f"slope {slope:.4f} vs 0.5"))
 
-    tol = DEFAULT_TOLERANCES["isospectral"]
     t_image = 1.0 / (1.0 - t)
     with warnings.catch_warnings():
         # t_image lies on the real cut (1, oo); the limits from either side
         # are mirror images of one surface and share its spectrum
         warnings.simplefilter("ignore", BranchConventionWarning)
         image = lowest_eigenvalues(assemble(sigma_from_t(t_image), t_image, grid), 16)
-    resid = isospectral_orbit_check(spec, image, 15)
-    results.append(CheckResult("isospectral", resid < tol, resid, tol, 15))
+    results.append(_check("isospectral", 15, isospectral_orbit_check(spec, image, 15)))
     return results
 
 

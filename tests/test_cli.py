@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conetorus import cli, sigma_from_t
+from conetorus import cli, sigma_from_t, verify
 from conetorus.cli import main, parse_complex
 from conetorus.geometry import load_field
-from conetorus.verify import DEFAULT_TOLERANCES
+from conetorus.verify import DEFAULT_TOLERANCES, SUITES, run_suite
 
 # "$ <argv>" lines, each followed by the stdout of that command
 CORPUS = Path(__file__).with_name("cli_corpus.txt")
@@ -192,11 +192,14 @@ def test_sigma_subcommand_next_to_the_real_axis(capsys):
     # 50-digit mpmath value of -(theta_2 / theta_4)^4 at this sigma
     ref = -7.26592067774479e133 - 2.3358793246520213e133j
     assert abs(t - ref) <= 1e-10 * abs(ref)
-    # t(1e-5 i) overflows: a clean exit 2, not inf with pass true
-    assert main(["sigma", "--sigma", "0.00001i"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: t(sigma) is not representable")
+    # t(1e-5 i) overflows, and t(sigma) at the second sigma lies within
+    # 2^-52 of 1, where 1 - t has lost every digit: a clean exit 2, not inf
+    # or 1+2.6e-28i with pass true
+    for sigma in ("0.00001i", "1.0098006657784124+0.0019866933079506124i"):
+        assert main(["sigma", "--sigma", sigma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: t(sigma) is not representable")
 
 
 def test_orbit_subcommand(capsys):
@@ -241,6 +244,41 @@ def test_verify_suite_pass_and_fail_exit_codes(monkeypatch, capsys):
     code, out = run_cli(["verify", "--suite", "symmetry", "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("suite, check, name", [
+    ("symmetry", "f_symmetry", "F"),
+    ("variational", "b_dual", "b_minus_inf_from_AB"),
+])
+def test_verify_fails_on_a_nan_residual(suite, check, name, monkeypatch, capsys):
+    # Python's max(0.0, nan) is 0.0: a running max would report a pass
+    monkeypatch.setattr(verify, name, lambda t: math.nan)
+    code, out = run_cli(["verify", "--suite", suite, "--format", "json"], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["residuals"][check] == "nan"
+    assert [line.split()[0] for line in rep["outputs"]["checks"]].count("FAIL") == 1
+
+
+# (check, count, tolerance) of every suite, in report order
+SUITE_CHECKS = {
+    "symmetry": [("f_symmetry", 200, 1e-12)],
+    "roundtrip": [("roundtrip_orbit", 50, 1e-9), ("det_orbit", 50, 1e-9),
+                  ("sigma_reduction", 25, 1e-9)],
+    "variational": [("b_dual", 30, 1e-8), ("variational_identity", 20, 1e-6),
+                    ("prelim_consistency", 50, 1e-8)],
+    "curvature": [("pushforward", 50, 1e-10), ("curvature_one", 100, 1e-6),
+                  ("curvature_oracle", 20, 1e-8)],
+    "spectral": [("grid_area", 1, 1e-2), ("zero_mode", 1, 1e-8), ("weyl_slope", 1, 0.05),
+                 ("isospectral", 15, 1e-2)],
+}
+
+
+def test_suite_checks_have_their_counts_and_tolerances():
+    assert sorted(SUITE_CHECKS) == sorted(SUITES)
+    for suite, expected in SUITE_CHECKS.items():
+        assert [(c.name, c.count, c.tolerance) for c in run_suite(suite)] == expected
 
 
 @pytest.mark.parametrize("argv", [

@@ -79,9 +79,11 @@ def test_t_from_sigma_in_every_reduction_class():
 
 
 def test_t_from_sigma_out_of_range():
-    # t(1e-5 i) = 1/t(1e5 i) overflows, t(1000 i) underflows to 0
-    for sigma in (1e-5j, 1000j):
-        with pytest.raises(DomainError):
+    # t(1e-5 i) = 1/t(1e5 i) overflows, t(1000 i) underflows to 0, and the
+    # third sigma reduces to Im 19.9, where its t = 1 - t_red rounds to
+    # 1+2.6e-28i and keeps none of t_red's real part
+    for sigma in (1e-5j, 1000j, 1.0098006657784124 + 0.0019866933079506124j):
+        with pytest.raises(DomainError, match="not representable"):
             t_from_sigma(sigma)
 
 

@@ -188,9 +188,9 @@ def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
 DECK_SECTOR = spectral._deck_sector
 
 
-def fixed_point_at_multiplicity_two(op, sign, v0):
+def fixed_point_at_multiplicity_two(op, sign, v0, inv_symbol):
     """Mutant: the middle entry of an odd grid counted as a mirrored pair."""
-    sector = DECK_SECTOR(op, sign, v0)
+    sector = DECK_SECTOR(op, sign, v0, inv_symbol)
     return sector._replace(mult=np.full(sector.weight.size, 2.0))
 
 
@@ -240,10 +240,14 @@ def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
         stiffness=spectral._flat_symbol(sigma, n1, n2), weight=np.ones(n1 * n2), sigma=sigma,
         t=None, grid_shape=(n1, n2), area=1.0, zeta0=-1.0)
     v0 = np.zeros((n1, n2))
-    sectors = [(f"deck{sign:+.0f}", deck_sector(op, sign, v0), [((0, 1), sign)])
+    inv_symbol = spectral._inv_symbol(op.stiffness)
+    sectors = [(f"deck{sign:+.0f}", deck_sector(op, sign, v0, inv_symbol), [((0, 1), sign)])
                for sign in spectral._DECK_SIGNS]
     if n1 % 2 == 0 and n2 % 2 == 0:
-        sectors += [(f"quarter{a}{b}", spectral._reflection_sector(op, (a, b), v0),
+        h1, h2 = n1 // 2, n2 // 2
+        sectors += [(f"quarter{a}{b}",
+                     spectral._reflection_sector(op, (a, b), v0,
+                                                 inv_symbol[a:a + h1, b:b + h2]),
                      [((0,), 1 - 2 * a), ((1,), 1 - 2 * b)])
                     for a, b in spectral._REFLECTION_SECTORS]
     for name, sector, parities in sectors:
