@@ -92,8 +92,12 @@ def g_orbit(t) -> GOrbit:
 
 def same_moduli_point(t1, t2, tol: float = 1.0e-9) -> bool:
     """True when t2 lies within tol of some member of the orbit of t1."""
-    t2c = complex(t2)
-    return min(abs(t2c - m) for m in g_orbit(t1).members) <= tol
+    return _orbit_distance(t1, t2) <= tol
+
+
+def _orbit_distance(t1, t2) -> float:
+    """Distance from t2 to the nearest member of the orbit of t1."""
+    return min(abs(complex(t2) - m) for m in g_orbit(t1).members)
 
 
 def sigma_from_t(t) -> PeriodRatio:
@@ -158,9 +162,14 @@ def t_from_sigma(sigma) -> complex:
 
 def unimodular_equivalent(s1, s2, tol: float = 1.0e-9) -> bool:
     """True when the two period ratios reduce to the same fundamental point."""
+    return _reduced_gap(s1, s2) <= tol
+
+
+def _reduced_gap(s1, s2) -> float:
+    """Distance between the reduced points of two period ratios, up to boundary identification."""
     r1 = reduce_to_fundamental_domain(as_sigma(s1)).reduced[0]
     r2 = reduce_to_fundamental_domain(as_sigma(s2)).reduced[0]
     # points on the boundary of the fundamental domain may reduce to either
     # of two identified representatives
-    return any(abs(r1 - cand) <= tol for cand in (
+    return min(abs(r1 - cand) for cand in (
         r2, complex(r2.real - 1.0, r2.imag), complex(r2.real + 1.0, r2.imag), -1.0 / r2))

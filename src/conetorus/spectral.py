@@ -20,20 +20,17 @@ The deck involution z -> -z of the double cover of the sphere is, on the
 cell-centred grid, reversal of the flattened array.  K (its symbol is even
 in frequency) and W (made exactly reversal-symmetric by ``assemble``)
 commute with it, so the spectrum is the union of an even and an odd
-sector.  A sector vector is fixed by its first n - n // 2 (even) or
-n // 2 (odd) grid values, and each sector's Lanczos run works on those:
-K^+ is applied within the sector by extending them to the whole grid by
-their parity, one rfft2 and one irfft2.
+sector, each solved on its own grid values (``_deck_sector``).  A cone
+metric's even sector is the round sphere modulo {+-z, +-1/z} at every t,
+with its spectrum in closed form (``_even_spectrum``): only the odd sector
+is solved.  The flat torus solves both.
 
 For real t in (0, 1) the lattice is rectangular (Re sigma = 0) and complex
 conjugation lifts to the torus too: K and W also commute with row reversal
 p -> -p, which ``assemble`` makes exact.  On grids with even sides the
-solve then splits into the four sectors of cosine or sine parity along
-each axis, each a Lanczos run on the values of the (n1/2 x n2/2) quarter
-grid.  K is diagonal in the quarter grid's orthonormal DCT-II/DST-II
-basis (scipy.fft, imported on the first such solve), so K^+ there is four
-1-d quarter-size transforms, and the Lanczos bases are a quarter of the
-grid long.
+sectors are then the four of cosine or sine parity along each axis, each
+solved on the (n1/2 x n2/2) quarter grid, where K is diagonal in the
+orthonormal DCT-II/DST-II basis (``_reflection_sector``, scipy.fft).
 
 Eigenvalues feed three cross-checks: the Weyl counting slope (area / 4 pi),
 isospectrality across a moduli-group orbit, and a coarse estimate of
@@ -73,8 +70,9 @@ __all__ = [
 # parities of the even and the odd sector of the deck involution
 _DECK_SIGNS = (1.0, -1.0)
 # (p, q) parities of the four sectors of row and column reversal: 0 is the
-# cosine (DCT-II) basis along that axis, 1 the sine (DST-II) basis
-_REFLECTION_SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# cosine (DCT-II) basis along that axis, 1 the sine (DST-II) basis; as in
+# _DECK_SIGNS the deck-even half (cos.cos, sin.sin) comes first
+_REFLECTION_SECTORS = ((0, 0), (1, 1), (0, 1), (1, 0))
 # lowest eigenpairs of each sector whose residual every solve measures
 _CHECKED_PAIRS = 2
 
@@ -115,10 +113,11 @@ class SolverDiagnostics(NamedTuple):
 
     ``residual`` is the largest relative residual
     |K psi - lambda W psi| / |lambda W psi| over the checked eigenpairs
-    (the two lowest of each sector); ``matvecs`` is the number of
+    (the two lowest of each solved sector); ``matvecs`` is the number of
     applications of one sector's operator, summed over all sectors and
-    re-solves; ``sectors`` is 2 (deck involution) or 4 (row and column
-    reversal); ``resolves`` counts the coverage guard's re-solves.
+    re-solves; ``sectors`` counts the solved sectors, 1 (deck involution) or
+    2 (row and column reversal) for a cone metric and 2 or 4 for the flat
+    torus; ``resolves`` counts the coverage guard's re-solves.
     """
 
     residual: float
@@ -133,13 +132,11 @@ class _Sector(NamedTuple):
     ``weight`` is W on those values, ``mult`` the number of grid points
     each of them stands for (D), ``full`` extends them to the whole grid by
     the sector's parity and ``inv_k`` applies K^+ within the sector.
-    ``deflate`` is set when the sector holds the constant.
     """
 
     start: np.ndarray
     weight: np.ndarray
     mult: np.ndarray | float
-    deflate: bool
     full: Callable
     inv_k: Callable
 
@@ -148,7 +145,8 @@ class _Sector(NamedTuple):
 class SpectrumResult:
     """Eigenvalues of one discretization, with solver diagnostics.
 
-    ``eigenvalues`` is ascending and starts with the exact zero mode.
+    ``eigenvalues`` is ascending and starts with the exact zero mode; a cone
+    metric's deck-even ones are the continuum's, its deck-odd ones the grid's.
     ``diagnostics`` is a SolverDiagnostics (residual, matvecs, sectors, resolves).
     """
 
@@ -283,7 +281,7 @@ def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray,
 
     mult = np.full(h, 2.0)
     mult[half:] = 1.0
-    return _Sector(v0.ravel()[:h], op.weight[:h], mult, sign > 0, full,
+    return _Sector(v0.ravel()[:h], op.weight[:h], mult, full,
                    lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:h])
 
 
@@ -296,8 +294,8 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray,
     grid by the parity, the orthonormal DCT-II (parity 0) or DST-II
     (parity 1) basis along each axis gives the modes cos 2 pi f p_j
     (0 <= f < n1/2) or sin 2 pi f p_j (0 < f <= n1/2), likewise along q, so
-    K is diagonal there with the entries op.stiffness[a:a + n1/2, b:b + n2/2];
-    inv_symbol is K^+ on the same entries.
+    K is diagonal there with the entries op.stiffness[a:a + n1/2, b:b + n2/2].
+    inv_symbol is K^+ on op.stiffness.
     """
     from scipy import fft
 
@@ -305,6 +303,7 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray,
     h1, h2 = n1 // 2, n2 // 2
     a, b = parity
     forward, inverse = (fft.dct, fft.dst), (fft.idct, fft.idst)
+    inv_symbol = inv_symbol[a:a + h1, b:b + h2]
 
     def inv_k(x):
         c = forward[a](forward[b](x.reshape(h1, h2), axis=1, norm="ortho"), axis=0, norm="ortho")
@@ -318,7 +317,7 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray,
 
     start = v0[a * h1:(a + 1) * h1, b * h2:(b + 1) * h2].ravel()
     weight = op.weight.reshape(n1, n2)[:h1, :h2].ravel()
-    return _Sector(start, weight, 4.0, parity == (0, 0), full, inv_k)
+    return _Sector(start, weight, 4.0, full, inv_k)
 
 
 def _reflection_even(op: AssembledOperator) -> bool:
@@ -330,37 +329,46 @@ def _reflection_even(op: AssembledOperator) -> bool:
             and np.array_equal(rows, rows[::-1]))
 
 
+def _even_spectrum(count: int) -> np.ndarray:
+    """The lowest count eigenvalues of a cone metric's deck-even half, zero mode first.
+
+    The quotient of the torus by z -> -z (area pi, curvature one, smooth over
+    the cone, with cone points of angle pi over the half periods) is the round
+    sphere modulo {+-z, +-1/z}: l (l + 1) at multiplicity (2 l + 1 + 3 (-1)^l) / 4,
+    whatever t is.  Degrees l <= 2 sqrt(count) + 2 hold at least count modes.
+    """
+    ls = np.arange(2 * math.isqrt(count) + 3)
+    return np.repeat(ls * (ls + 1.0), (2 * ls + 1 + 3 * (-1) ** ls) // 4)[:count]
+
+
 def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> SpectrumResult:
     """First m eigenvalues (zero mode included) of K psi = lambda W psi.
 
-    The constant vector spans the kernel of K, so lambda_0 = 0 exactly; the
-    others are reciprocals of the top eigenvalues of
-    B = Q W^(1/2) K^+ W^(1/2) Q, Q the projection off W^(1/2) 1.  B
-    commutes with the reversal of the flattened grid (the deck involution
-    z -> -z), and splits into its even and odd sectors (``_deck_sector``).
-    When both sides are even and K and W are also exactly even under row
-    reversal p -> -p (a rectangular lattice, real t in (0, 1)), it splits
-    into the four sectors of row and column reversal instead
-    (``_reflection_sector``); the deck sectors are their unions,
-    cos.cos + sin.sin and cos.sin + sin.cos.  Each of the S sectors gets
-    one Lanczos run for ceil((m - 1) / S) + S modes.
+    The constant spans the kernel of K; the other eigenvalues are reciprocals
+    of the top eigenvalues of B = W^(1/2) K^+ W^(1/2).  B splits into the
+    even and odd sectors of the deck involution (``_deck_sector``) or, when
+    both sides are even and K and W are exactly even under row reversal too
+    (real t in (0, 1)), into the four reflection sectors
+    (``_reflection_sector``): cos.cos + sin.sin is deck-even, cos.sin + sin.cos odd.
 
-    Each run works on the sector's own grid values x, each standing for D
-    grid points.  With out = sqrt(D w) and inn = out / D there, B is
-    x -> Q (out K^+ (inn Q x)), Q now the projection off out, applied only
-    in the sector that holds the constant; an eigenvector maps back to the
-    grid as psi = full(K^+ (inn x)) less its W-mean.  The lowest m - 1 of
-    the merged lists are kept.  The runs are deterministic for a fixed
-    seed through the pinned starting vector.
+    With t set, the weight must be the cone metric that ``assemble`` builds:
+    the even half is the continuum's spectrum (``_even_spectrum``, zero mode
+    first), and only the odd sectors are solved, so the odd half is the
+    grid's.  With t None the weight must be constant (the flat torus): B maps
+    W^(1/2) 1 to 0 and its range is orthogonal to it, every sector is solved
+    and 0 is prepended; a nonconstant weight fails the residual check.  Each
+    solved sector of a family of S = 2 or 4 gets one seeded Lanczos run for
+    ceil((m - 1) / S) + S modes on its grid values x, each standing for D grid
+    points: with out = sqrt(D w) and inn = out / D, B is x -> out K^+ (inn x),
+    and psi = full(K^+ (inn x)).  The lowest m of the merged lists are kept.
 
-    Coverage guard: the merged cutoff must not exceed the largest
-    eigenvalue computed in any sector, or that sector could hold a mode
-    below it that was not computed.  A sector of k modes that falls short,
-    with c merged modes above its top, is solved again with k + c + 1, up
-    to its dimension less one, and ConvergenceError is raised if even that
-    does not cover the cutoff.  The two lowest eigenpairs of each sector,
-    from the same runs, must have a residual below 1e-8, measured with K
-    and W on the full grid.  Requires
+    Coverage guard: a sector whose largest computed eigenvalue lies below
+    the merged cutoff could hold an uncomputed mode below it.  A sector of k
+    modes that falls short, with c merged modes above its top, is solved
+    again with k + c + 1, up to its dimension less one, and ConvergenceError
+    is raised if even that does not cover the cutoff.  The two lowest
+    eigenpairs of each solved sector must have a residual below 1e-8,
+    measured with K and W on the full grid.  Requires
     10 <= m <= (number of grid points) / 10 and a weight exactly even under
     the reversal (DomainError otherwise).
     """
@@ -381,30 +389,25 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     if symbol[0, 0] != 0.0 or not np.all(symbol.ravel()[1:] > 0.0):
         raise ConvergenceError("stiffness symbol must be 0 at frequency (0, 0), > 0 elsewhere")
     w = op.weight.reshape(n1, n2)
-    w_total = float(w.sum())
     v0 = np.random.default_rng(seed).standard_normal((n1, n2))
     inv_symbol = _inv_symbol(symbol)
-    if _reflection_even(op):
-        h1, h2 = n1 // 2, n2 // 2
-        sectors = [_reflection_sector(op, (a, b), v0, inv_symbol[a:a + h1, b:b + h2])
-                   for a, b in _REFLECTION_SECTORS]
-    else:
-        sectors = [_deck_sector(op, sign, v0, inv_symbol) for sign in _DECK_SIGNS]
+    make, family = ((_reflection_sector, _REFLECTION_SECTORS) if _reflection_even(op)
+                    else (_deck_sector, _DECK_SIGNS))
+    # a cone metric's even half is exact, so only the family's odd half is solved
+    kinds = family if op.t is None else family[len(family) // 2:]
+    sectors = [make(op, kind, v0, inv_symbol) for kind in kinds]
+    known = np.zeros(1) if op.t is None else _even_spectrum(m)
     matvecs = resolves = 0
 
     def solve_sector(sector, k):
         dim = sector.start.size
         out = np.sqrt(sector.mult * sector.weight)
         inn = out / sector.mult
-        unit = out / np.linalg.norm(out)
-
-        def project(x):
-            return x - unit * (unit @ x) if sector.deflate else x
 
         def apply_b(x):
             nonlocal matvecs
             matvecs += 1
-            return project(out * sector.inv_k(inn * project(x)))
+            return out * sector.inv_k(inn * x)
 
         b_op = LinearOperator((dim, dim), matvec=apply_b, dtype=np.float64)
         mu, vecs = eigsh(b_op, k=k, which="LA", v0=sector.start, tol=0.0)
@@ -415,18 +418,17 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         # ascending mu: the lowest eigenpairs come last
         for lam_j, x in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
             psi = sector.full(sector.inv_k(inn * x))
-            psi -= (w * psi).sum() / w_total
             w_psi = lam_j * w * psi
             residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
                                            / np.linalg.norm(w_psi)))
         return lam_s, residual
 
-    # ceil((m - 1) / S) + S modes from each of the S sectors; eigsh needs k < dim
-    k_first = -(-(m - 1) // len(sectors)) + len(sectors)
+    # ceil((m - 1) / S) + S modes from each solved sector; eigsh needs k < dim
+    k_first = -(-(m - 1) // len(family)) + len(family)
     ks = [min(k_first, sector.start.size - 1) for sector in sectors]
     solved = [solve_sector(sector, k) for sector, k in zip(sectors, ks)]
     while True:
-        lam = np.sort(np.concatenate([lam_s for lam_s, _ in solved]))[:m - 1]
+        lam = np.sort(np.concatenate([known, *(lam_s for lam_s, _ in solved)]))[:m]
         short = [i for i, (lam_s, _) in enumerate(solved) if lam_s.max() < lam[-1]]
         if not short:
             break
@@ -445,7 +447,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     if not residual <= 1.0e-8:
         raise ConvergenceError(f"eigenpairs not resolved: relative residual {residual:.3e}")
     return SpectrumResult(
-        eigenvalues=np.concatenate(([0.0], lam)),
+        eigenvalues=lam,
         grid_shape=op.grid_shape,
         sigma=op.sigma,
         t=op.t,

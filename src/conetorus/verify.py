@@ -42,7 +42,7 @@ from .geometry import (
     metric_rho,
     round_sphere_density,
 )
-from .moduli import g_orbit, same_moduli_point, sigma_from_t, t_from_sigma, unimodular_equivalent
+from .moduli import _orbit_distance, _reduced_gap, g_orbit, sigma_from_t, t_from_sigma
 from .numdiff import laplacian5, wirtinger
 from .spectral import assemble, isospectral_orbit_check, lowest_eigenvalues, weyl_check
 
@@ -92,11 +92,10 @@ def _check(name: str, count: int, residuals, detail: str = "") -> CheckResult:
     """The pass rule: the worst residual must lie below DEFAULT_TOLERANCES[name].
 
     The worst is np.max of the residuals, which keeps a NaN, so a NaN
-    residual fails.  A check that counts failures at the tolerance passes
-    ``residuals`` as the function of the tolerance that returns that count.
+    residual fails.
     """
     tol = DEFAULT_TOLERANCES[name]
-    worst = float(np.max(residuals(tol) if callable(residuals) else residuals))
+    worst = float(np.max(residuals))
     return CheckResult(name, worst < tol, worst, tol, count, detail)
 
 
@@ -138,9 +137,8 @@ def suite_roundtrip() -> list[CheckResult]:
 
     n = 50
     samples = _annulus_samples(rng, n)
-    results.append(_check("roundtrip_orbit", n, lambda tol: sum(
-        not same_moduli_point(t, t_from_sigma(sigma_from_t(t)), tol=tol) for t in samples),
-        detail="residual counts failed round trips"))
+    results.append(_check("roundtrip_orbit", n, [
+        _orbit_distance(t, t_from_sigma(sigma_from_t(t))) for t in samples]))
 
     n = 50
     gaps = []
@@ -160,9 +158,7 @@ def suite_roundtrip() -> list[CheckResult]:
             a, b = a + k * c, b + k * d
             a, b, c, d = -c, -d, a, b
         pairs.append((s, (a * s + b) / (c * s + d)))
-    results.append(_check("sigma_reduction", n, lambda tol: sum(
-        not unimodular_equivalent(s, moved, tol=tol) for s, moved in pairs),
-        detail="residual counts failed equivalences"))
+    results.append(_check("sigma_reduction", n, [_reduced_gap(s, moved) for s, moved in pairs]))
     return results
 
 
@@ -229,7 +225,7 @@ def suite_spectral() -> list[CheckResult]:
     The isospectral check compares t with its orbit member 1/(1-t), whose
     period ratio has a different real part, so the two grids are not
     transposes of each other and the residual is the discretization's own
-    gap (3.8e-3 at 128^2; at 64^2 it is 1.5e-2, above the 1e-2 tolerance).
+    gap (3.7e-3 at 128^2; at 64^2 it is 1.2e-2, above the 1e-2 tolerance).
     """
     t = 0.3 + 0.0j
     grid, modes = 128, 40

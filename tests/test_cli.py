@@ -261,6 +261,17 @@ def test_verify_fails_on_a_nan_residual(suite, check, name, monkeypatch, capsys)
     assert [line.split()[0] for line in rep["outputs"]["checks"]].count("FAIL") == 1
 
 
+@pytest.mark.parametrize("scale, passed", [(1.0 + 1e-12, True), (1.0 + 1e-8, False)])
+def test_roundtrip_orbit_reports_its_distance(scale, passed, monkeypatch):
+    # the residual is the worst distance from t(sigma(t)) to the orbit of t,
+    # not a count of failed round trips, which reads 0 until one fails
+    exact = verify.t_from_sigma
+    monkeypatch.setattr(verify, "t_from_sigma", lambda sigma: exact(sigma) * scale)
+    check = {c.name: c for c in verify.suite_roundtrip()}["roundtrip_orbit"]
+    assert check.passed is passed
+    assert 0.1 * (scale - 1.0) <= check.residual <= 10.0 * (scale - 1.0)
+
+
 # (check, count, tolerance) of every suite, in report order
 SUITE_CHECKS = {
     "symmetry": [("f_symmetry", 200, 1e-12)],

@@ -127,12 +127,53 @@ def sparse_stiffness(sigma, n1, n2):
 def sparse_lowest(op, m):
     """Oracle: shift-invert Lanczos on the sparse stencil and the weight."""
     n1, n2 = op.grid_shape
+    return sparse_sector_lowest(op, m, sp.identity(n1 * n2, format="csr"))
+
+
+def parity_extension(n1, n2, sign):
+    """P: the grid functions even (sign 1) or odd (-1) under the deck involution.
+
+    Reversal of the flattened grid pairs entry i with n - 1 - i; P has one
+    column per pair, holding 1 at i and sign at its mirror.  On odd n the
+    middle entry is its own mirror, and only the even extension holds it.
+    """
+    n = n1 * n2
+    half = n // 2
+    h = n - half if sign > 0 else half
+    rows = np.concatenate((np.arange(h), n - 1 - np.arange(half)))
+    cols = np.concatenate((np.arange(h), np.arange(half)))
+    vals = np.concatenate((np.ones(h), np.full(half, float(sign))))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, h))
+
+
+def sparse_sector_lowest(op, m, p):
+    """Oracle: the stencil and the weight restricted to the range of p (P^T K P, P^T W P)."""
+    n1, n2 = op.grid_shape
+    k = (p.T @ sparse_stiffness(op.sigma, n1, n2) @ p).tocsc()
+    w = (p.T @ sp.diags(op.weight) @ p).tocsc()
     vals = spla.eigsh(
-        sparse_stiffness(op.sigma, n1, n2), k=m, M=sp.diags(op.weight, format="csc"),
-        sigma=-0.05, which="LM", v0=np.random.default_rng(0).standard_normal(n1 * n2),
+        k, k=m, M=w, sigma=-0.05, which="LM",
+        v0=np.random.default_rng(0).standard_normal(k.shape[0]),
         return_eigenvectors=False, tol=0.0,
     )
     return np.sort(vals)
+
+
+def sparse_odd_lowest(op, m):
+    """Oracle: the m lowest modes of the stencil on the deck-odd grid functions."""
+    return sparse_sector_lowest(op, m, parity_extension(*op.grid_shape, -1.0))
+
+
+def odd_part(eigenvalues):
+    """A cone spectrum less the package's exact even list, whose floats it holds as they are."""
+    even = list(spectral._even_spectrum(eigenvalues.size))
+    odd = []
+    for v in eigenvalues:
+        if v in even:
+            even.remove(v)
+        else:
+            odd.append(v)
+    return np.array(odd)
 
 
 def cross_term(sigma, n1, n2):
@@ -162,9 +203,23 @@ ORACLE_CASES = {
 
 
 def oracle_gap(op, m=16):
-    fft = lowest_eigenvalues(op, m, seed=0).eigenvalues[1:]
-    oracle = sparse_lowest(op, m)[1:]
-    return float(np.max(np.abs(fft - oracle) / oracle))
+    """Largest relative gap of the solve's nonzero modes to the sparse oracle's.
+
+    A flat torus is compared with the whole stencil.  A cone metric's odd
+    modes are compared with the odd-restricted stencil, and its merged list
+    with the package's exact even list joined with that oracle.
+    """
+    fft = lowest_eigenvalues(op, m, seed=0).eigenvalues
+    if op.t is None:
+        return relative_gap(fft[1:], sparse_lowest(op, m)[1:])
+    odd_oracle = sparse_odd_lowest(op, m)
+    odd = odd_part(fft)
+    merged = np.sort(np.concatenate((spectral._even_spectrum(m), odd_oracle)))[:m]
+    return max(relative_gap(odd, odd_oracle[:odd.size]), relative_gap(fft[1:], merged[1:]))
+
+
+def relative_gap(values, reference):
+    return float(np.max(np.abs(values - reference) / reference))
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -180,9 +235,13 @@ def test_sparse_oracle_rejects_symbol_without_cross_term():
 
 
 def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
-    # building the odd sector with the even sign solves the even sector twice
+    # building the odd sector with the even sign solves the even sector, which
+    # holds the constant: with a nonconstant weight, B = W^1/2 K^+ W^1/2 then
+    # does not keep its eigenvectors off W^1/2 1 (measured residual 0.31), so
+    # every cone solve on the deck path raises, even_sector_gap's included
     monkeypatch.setattr(spectral, "_DECK_SIGNS", (1.0, 1.0))
-    assert oracle_gap(ORACLE_CASES["curved"]()) > 1e-3
+    with pytest.raises(ConvergenceError, match="residual"):
+        oracle_gap(ORACLE_CASES["curved"]())
 
 
 DECK_SECTOR = spectral._deck_sector
@@ -201,28 +260,35 @@ def test_sparse_oracle_rejects_the_fixed_point_at_multiplicity_two(monkeypatch):
 
 
 def test_sparse_oracle_rejects_a_cosine_where_a_sine_belongs(monkeypatch):
-    # the sin.cos sector built with a DCT along p solves cos.cos twice
-    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (0, 1), (0, 0), (1, 1)))
-    assert oracle_gap(ORACLE_CASES["rectangular"]()) > 1e-3
+    # the sin.cos sector built with a DCT along p solves cos.cos, which holds
+    # the constant and fails the residual check as above
+    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (1, 1), (0, 1), (0, 0)))
+    with pytest.raises(ConvergenceError, match="residual"):
+        oracle_gap(ORACLE_CASES["rectangular"]())
 
 
-@pytest.mark.parametrize("t, grid, sectors", [
+@pytest.mark.parametrize("t, grid, family", [
     (0.3, 64, 4), (0.02, 64, 4), (0.3, (64, 128), 4),
     (0.3 + 0.4j, 64, 2), (0.3, (33, 35), 2), (0.3, (32, 35), 2),
 ])
-def test_sector_count(t, grid, sectors):
-    spec = lowest_eigenvalues(assemble(sigma_from_t(t), t, grid), 12)
-    assert spec.diagnostics.sectors == sectors
-    assert spec.diagnostics.resolves == 0
+def test_sector_count(t, grid, family):
+    # the cone metric solves the odd half of its sector family, the flat
+    # torus of the same lattice the whole family
+    sigma = sigma_from_t(t)
+    for op, sectors in ((assemble(sigma, t, grid), family // 2),
+                        (flat_operator(sigma, grid), family)):
+        spec = lowest_eigenvalues(op, 12)
+        assert spec.diagnostics.sectors == sectors
+        assert spec.diagnostics.resolves == 0
 
 
 def test_weight_off_row_reversal_takes_the_deck_sectors():
-    # deck-even but not row-even: the solve falls back to the two deck sectors
+    # deck-even but not row-even: the solve falls back to the odd deck sector
     op = ORACLE_CASES["rectangular"]()
     w = op.weight.copy()
     w[[0, -1]] = np.nextafter(w[0], np.inf)
     spec = lowest_eigenvalues(dataclasses.replace(op, weight=w), 12)
-    assert spec.diagnostics.sectors == 2
+    assert spec.diagnostics.sectors == 1
 
 
 def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
@@ -244,10 +310,7 @@ def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
     sectors = [(f"deck{sign:+.0f}", deck_sector(op, sign, v0, inv_symbol), [((0, 1), sign)])
                for sign in spectral._DECK_SIGNS]
     if n1 % 2 == 0 and n2 % 2 == 0:
-        h1, h2 = n1 // 2, n2 // 2
-        sectors += [(f"quarter{a}{b}",
-                     spectral._reflection_sector(op, (a, b), v0,
-                                                 inv_symbol[a:a + h1, b:b + h2]),
+        sectors += [(f"quarter{a}{b}", spectral._reflection_sector(op, (a, b), v0, inv_symbol),
                      [((0,), 1 - 2 * a), ((1,), 1 - 2 * b)])
                     for a, b in spectral._REFLECTION_SECTORS]
     for name, sector, parities in sectors:
@@ -317,20 +380,21 @@ def counted_requests(monkeypatch, cut_first=0):
 
 
 def test_coverage_resolve_matches_sparse_oracle(monkeypatch):
-    # each reflection sector is asked for ceil(59 / 4) + 4 = 19 modes; the
-    # 59 split unevenly here, and cos.cos, short of the merged cutoff with
-    # one merged mode above its top, is solved again with 19 + 1 + 1
+    # each odd reflection sector is asked for ceil(119 / 4) + 4 = 34 modes;
+    # at t = 0.02 sin.cos holds more than that below the merged cutoff, and,
+    # short of it with one merged mode above its top, is solved again with
+    # 34 + 1 + 1
     ks = counted_requests(monkeypatch)
-    assert oracle_gap(ORACLE_CASES["rectangular"](), m=60) <= 1e-10
-    assert ks == [19, 19, 19, 19, 21]
+    assert oracle_gap(assemble(sigma_from_t(0.02), 0.02, 64), m=120) <= 1e-10
+    assert ks == [34, 34, 36]
 
 
 def test_coverage_resolve_of_a_deck_sector_matches_sparse_oracle(monkeypatch):
-    # the even deck sector asked for 10 - 3 modes falls short with four
-    # merged modes above its top, and is solved again with 7 + 4 + 1
+    # the odd deck sector asked for ceil(15 / 2) + 2 - 3 modes falls short
+    # with five merged modes above its top, and is solved again with 7 + 5 + 1
     ks = counted_requests(monkeypatch, cut_first=3)
     assert oracle_gap(ORACLE_CASES["curved"]()) <= 1e-10
-    assert ks == [7, 10, 12]
+    assert ks == [7, 13]
 
 
 def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
@@ -460,46 +524,55 @@ def test_spectrum_json_roundtrip(capsys):
 
 
 def test_eigenvalue_five_refinement():
-    # second-order stencil: lambda_5 rises monotonically to its limit with a
-    # factor ~4 error drop per refinement
+    # second-order stencil: the fifth odd mode (the even ones are exact)
+    # rises monotonically to its limit with a factor ~4 error drop per
+    # refinement (measured 19.668, 19.722, 19.736)
     t = 0.3 + 0.0j
     vals = []
     for n in (64, 128, 256):
-        spec = lowest_eigenvalues(assemble(sigma_from_t(t), t, n), 10, seed=0)
-        vals.append(spec.eigenvalues[5])
+        spec = lowest_eigenvalues(assemble(sigma_from_t(t), t, n), 12, seed=0)
+        vals.append(odd_part(spec.eigenvalues)[4])
     assert vals[0] < vals[1] < vals[2]
     d1, d2 = vals[1] - vals[0], vals[2] - vals[1]
     assert math.log2(d1 / d2) >= 1.0
 
 
-# the even sector is the round sphere modulo {+-z, +-1/z}, whatever t is:
-# l (l + 1) with multiplicity (2l + 1 + 3 (-1)^l) / 4, from l = 2 on
-EVEN_SECTOR = np.array([l * (l + 1) for l in range(2, 7)
-                        for _ in range((2 * l + 1 + 3 * (-1) ** l) // 4)])
+def even_sector_gap(t):
+    """Largest relative gap of the package's 12 lowest even modes to the even-restricted stencil.
 
-
-def even_sector_gap(monkeypatch, t):
-    """Largest relative error of the 12 lowest even modes, Richardson-combined.
-
-    Building the odd deck sector with the even sign, or, at real t in
-    (0, 1), the cos.sin and sin.cos sectors as cos.cos and sin.sin (whose
-    union is the even deck sector), doubles each even eigenvalue; every
-    other entry of the merged spectrum is the even one.
+    The package's even modes are its merged 64^2 spectrum less the modes of
+    the odd-restricted stencil.  The stencil restricted to the deck-even
+    grid functions (P^T K P, P^T W P) is solved at 64^2 and 128^2 and its
+    eigenvalues Richardson-combined, which removes their h^2 error.
     """
-    monkeypatch.setattr(spectral, "_DECK_SIGNS", (1.0, 1.0))
-    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (0, 0), (1, 1), (1, 1)))
+    op = assemble(sigma_from_t(t), t, 64)
+    merged = lowest_eigenvalues(op, 60).eigenvalues
+    odd = sparse_odd_lowest(op, 60)
+    even = np.array([v for v in merged if not np.any(np.abs(odd - v) <= 1e-9 * v)])
+    assert even.size >= 13
 
-    def even(n):
-        return lowest_eigenvalues(assemble(sigma_from_t(t), t, n), 41).eigenvalues[1::2][:12]
+    def oracle(n):
+        op_n = assemble(sigma_from_t(t), t, n)
+        return sparse_sector_lowest(op_n, 13, parity_extension(n, n, 1.0))[1:]
 
-    lam = (4.0 * even(128) - even(64)) / 3.0
-    return float(np.max(np.abs(lam - EVEN_SECTOR) / EVEN_SECTOR))
+    richardson = (4.0 * oracle(128) - oracle(64)) / 3.0
+    return relative_gap(even[1:13], richardson)
 
 
 @pytest.mark.parametrize("t", [0.3 + 0.4j, 0.3 - 0.4j, 0.02, 0.999 - 0.01j, 1e-3 + 1e-3j, 2.0])
-def test_even_sector_is_the_round_sphere_quotient(monkeypatch, t):
+def test_even_sector_is_the_round_sphere_quotient(t):
     # measured: <= 1.2e-4, and 6.3e-4 at t = 2
-    assert even_sector_gap(monkeypatch, t) <= 2e-3
+    assert even_sector_gap(t) <= 2e-3
+
+
+def test_even_sector_oracle_rejects_the_full_sphere_multiplicity(monkeypatch):
+    # the round sphere's own multiplicity 2 l + 1, not its quotient's
+    def full_sphere(count):
+        ls = np.arange(2 * math.isqrt(count) + 3)
+        return np.repeat(ls * (ls + 1.0), 2 * ls + 1)[:count]
+
+    monkeypatch.setattr(spectral, "_even_spectrum", full_sphere)
+    assert even_sector_gap(0.3 + 0.4j) > 2e-3
 
 
 def test_even_sector_oracle_rejects_theta00_numerator(monkeypatch):
@@ -513,7 +586,7 @@ def test_even_sector_oracle_rejects_theta00_numerator(monkeypatch):
         return exact(cov, theta_at) * np.abs(theta_at(i00) / theta_at(cov._ic)) ** 2
 
     monkeypatch.setattr(geometry, "_e2phi_from_cover", mutant)
-    assert even_sector_gap(monkeypatch, 2.0) > 2e-3
+    assert even_sector_gap(2.0) > 2e-3
 
 
 def test_first_ten_modes_grid_stability(spec_t03_256):
@@ -642,7 +715,7 @@ def test_zeta_flat_calibration_and_stability():
 
 def test_zeta_curved_cross_moduli():
     # estimator vs formula across genuinely different surfaces
-    # (measured: est diff +0.061, formula diff +0.031)
+    # (measured: est diff +0.046, formula diff +0.031)
     ests = {}
     for t in (0.3 + 0.0j, 2.0 + 0.0j):
         fine = lowest_eigenvalues(assemble(sigma_from_t(t), t, 256), 150, seed=0)
