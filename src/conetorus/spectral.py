@@ -20,15 +20,15 @@ The deck involution z -> -z of the double cover of the sphere is, on the
 cell-centred grid, reversal of the flattened array.  K (its symbol is even
 in frequency) and W (made exactly reversal-symmetric by ``assemble``)
 commute with it, so the spectrum is the union of an even and an odd
-sector, each solved on its own grid values (``_deck_sector``).  A cone
-metric's even sector is the round sphere modulo {+-z, +-1/z} at every t,
-with its spectrum in closed form (``_even_spectrum``): only the odd sector
-is solved.  The flat torus solves both.
+sector.  A cone metric's even sector is the round sphere modulo {+-z, +-1/z}
+at every t, with its spectrum in closed form (``_even_spectrum``): only
+the odd sector is solved, on its own grid values (``_deck_sector``).  The
+flat torus has a constant weight: its spectrum is the symbol over it.
 
 For real t in (0, 1) the lattice is rectangular (Re sigma = 0) and complex
 conjugation lifts to the torus too: K and W also commute with row reversal
-p -> -p, which ``assemble`` makes exact.  On grids with even sides the
-sectors are then the four of cosine or sine parity along each axis, each
+p -> -p, which ``assemble`` makes exact.  On grids with even sides the odd
+sector is then cosine-sine plus sine-cosine parity along the two axes, each
 solved on the (n1/2 x n2/2) quarter grid, where K is diagonal in the
 orthonormal DCT-II/DST-II basis (``_reflection_sector``, scipy.fft).
 
@@ -37,9 +37,9 @@ isospectrality across a moduli-group orbit, and a coarse estimate of
 -zeta'(0) from a tail-completed spectral zeta.
 
 scipy's ARPACK (``scipy.sparse.linalg``, most of the package's import time)
-is imported on the first eigensolve, not with this module, so the
-closed-form layers and the CLI commands that solve no spectrum start
-without it.
+is imported on the first cone-metric solve, not with this module, so the
+closed-form layers, flat spectra and the CLI commands that solve nothing
+start without it.
 """
 
 from __future__ import annotations
@@ -67,12 +67,9 @@ __all__ = [
     "zeta_det_estimate",
 ]
 
-# parities of the even and the odd sector of the deck involution
-_DECK_SIGNS = (1.0, -1.0)
-# (p, q) parities of the four sectors of row and column reversal: 0 is the
-# cosine (DCT-II) basis along that axis, 1 the sine (DST-II) basis; as in
-# _DECK_SIGNS the deck-even half (cos.cos, sin.sin) comes first
-_REFLECTION_SECTORS = ((0, 0), (1, 1), (0, 1), (1, 0))
+# (p, q) parities of the deck-odd sectors of row and column reversal: 0 is
+# the cosine (DCT-II) basis along that axis, 1 the sine (DST-II) basis
+_REFLECTION_SECTORS = ((0, 1), (1, 0))
 # lowest eigenpairs of each sector whose residual every solve measures
 _CHECKED_PAIRS = 2
 
@@ -116,8 +113,8 @@ class SolverDiagnostics(NamedTuple):
     (the two lowest of each solved sector); ``matvecs`` is the number of
     applications of one sector's operator, summed over all sectors and
     re-solves; ``sectors`` counts the solved sectors, 1 (deck involution) or
-    2 (row and column reversal) for a cone metric and 2 or 4 for the flat
-    torus; ``resolves`` counts the coverage guard's re-solves.
+    2 (row and column reversal) for a cone metric and 0 for the flat torus;
+    ``resolves`` counts the coverage guard's re-solves.
     """
 
     residual: float
@@ -136,7 +133,7 @@ class _Sector(NamedTuple):
 
     start: np.ndarray
     weight: np.ndarray
-    mult: np.ndarray | float
+    mult: float
     full: Callable
     inv_k: Callable
 
@@ -145,9 +142,9 @@ class _Sector(NamedTuple):
 class SpectrumResult:
     """Eigenvalues of one discretization, with solver diagnostics.
 
-    ``eigenvalues`` is ascending and starts with the exact zero mode; a cone
-    metric's deck-even ones are the continuum's, its deck-odd ones the grid's.
-    ``diagnostics`` is a SolverDiagnostics (residual, matvecs, sectors, resolves).
+    ``eigenvalues`` is ascending, zero mode first: a flat torus's are the
+    symbol's, a cone metric's deck-even ones the continuum's and its
+    deck-odd ones the grid's.  ``diagnostics`` is a SolverDiagnostics.
     """
 
     eigenvalues: np.ndarray
@@ -251,6 +248,11 @@ def flat_operator(sigma, grid_shape) -> AssembledOperator:
     )
 
 
+def _unfolded_symbol(symbol: np.ndarray, n2: int) -> np.ndarray:
+    """An even symbol's values: its rfft2 half-spectrum and its mirrored columns 0 < k < n2/2."""
+    return np.concatenate((symbol.ravel(), symbol[:, 1:(n2 + 1) // 2].ravel()))
+
+
 def _inv_symbol(symbol: np.ndarray) -> np.ndarray:
     """K^+ on the given entries of its symbol: 1 / symbol, and 0 on the constant mode."""
     inv = np.zeros(symbol.shape)
@@ -258,30 +260,24 @@ def _inv_symbol(symbol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _deck_sector(op: AssembledOperator, sign: float, v0: np.ndarray,
-                 inv_symbol: np.ndarray) -> _Sector:
-    """The even (sign 1) or odd (-1) sector of the deck involution, on its first h grid values.
+def _deck_sector(op: AssembledOperator, v0: np.ndarray, inv_symbol: np.ndarray) -> _Sector:
+    """The odd sector of the deck involution, on the first h = n // 2 grid values.
 
-    Reversal of the flattened grid pairs entry i with n - 1 - i, so a sector
-    vector is fixed by its first h = n - n // 2 (even) or n // 2 (odd)
-    entries, each standing for two grid points.  On odd n the middle entry
-    is its own mirror: the even sector keeps it, at multiplicity 1, and the
-    odd sector's vectors vanish there.  inv_symbol is K^+ on op.stiffness.
+    Reversal of the flattened grid pairs entry i with n - 1 - i, so an odd
+    vector is fixed by its first h entries, each standing for two grid
+    points; on odd n it vanishes at the middle entry, its own mirror.
+    inv_symbol is K^+ on op.stiffness.
     """
     n1, n2 = op.grid_shape
-    n = n1 * n2
-    half = n // 2
-    h = n - half if sign > 0 else half
+    h = n1 * n2 // 2
 
     def full(x):
-        y = np.zeros(n)
+        y = np.zeros(n1 * n2)
         y[:h] = x
-        y[::-1][:half] = sign * x[:half]
+        y[::-1][:h] = -x
         return y.reshape(n1, n2)
 
-    mult = np.full(h, 2.0)
-    mult[half:] = 1.0
-    return _Sector(v0.ravel()[:h], op.weight[:h], mult, full,
+    return _Sector(v0.ravel()[:h], op.weight[:h], 2.0, full,
                    lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:h])
 
 
@@ -344,33 +340,11 @@ def _even_spectrum(count: int) -> np.ndarray:
 def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> SpectrumResult:
     """First m eigenvalues (zero mode included) of K psi = lambda W psi.
 
-    The constant spans the kernel of K; the other eigenvalues are reciprocals
-    of the top eigenvalues of B = W^(1/2) K^+ W^(1/2).  B splits into the
-    even and odd sectors of the deck involution (``_deck_sector``) or, when
-    both sides are even and K and W are exactly even under row reversal too
-    (real t in (0, 1)), into the four reflection sectors
-    (``_reflection_sector``): cos.cos + sin.sin is deck-even, cos.sin + sin.cos odd.
-
-    With t set, the weight must be the cone metric that ``assemble`` builds:
-    the even half is the continuum's spectrum (``_even_spectrum``, zero mode
-    first), and only the odd sectors are solved, so the odd half is the
-    grid's.  With t None the weight must be constant (the flat torus): B maps
-    W^(1/2) 1 to 0 and its range is orthogonal to it, every sector is solved
-    and 0 is prepended; a nonconstant weight fails the residual check.  Each
-    solved sector of a family of S = 2 or 4 gets one seeded Lanczos run for
-    ceil((m - 1) / S) + S modes on its grid values x, each standing for D grid
-    points: with out = sqrt(D w) and inn = out / D, B is x -> out K^+ (inn x),
-    and psi = full(K^+ (inn x)).  The lowest m of the merged lists are kept.
-
-    Coverage guard: a sector whose largest computed eigenvalue lies below
-    the merged cutoff could hold an uncomputed mode below it.  A sector of k
-    modes that falls short, with c merged modes above its top, is solved
-    again with k + c + 1, up to its dimension less one, and ConvergenceError
-    is raised if even that does not cover the cutoff.  The two lowest
-    eigenpairs of each solved sector must have a residual below 1e-8,
-    measured with K and W on the full grid.  Requires
-    10 <= m <= (number of grid points) / 10 and a weight exactly even under
-    the reversal (DomainError otherwise).
+    With t None the weight must be constant (the flat torus), and the
+    eigenvalues are the symbol's values over it.  With t set it must be the
+    cone metric that ``assemble`` builds, solved by ``_odd_spectrum``.
+    Requires 10 <= m <= (number of grid points) / 10 and a weight exactly
+    even under the reversal (DomainError otherwise).
     """
     n1, n2 = op.grid_shape
     n = n1 * n2
@@ -382,21 +356,54 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     if not np.array_equal(op.weight, op.weight[::-1]):
         raise DomainError("weight must be exactly even under the deck involution "
                           "(reversal of the flattened grid)")
-    # with eigsh, the first solve of a process imports scipy's ARPACK
-    from scipy.sparse.linalg import LinearOperator
-
     symbol = op.stiffness
     if symbol[0, 0] != 0.0 or not np.all(symbol.ravel()[1:] > 0.0):
         raise ConvergenceError("stiffness symbol must be 0 at frequency (0, 0), > 0 elsewhere")
-    w = op.weight.reshape(n1, n2)
-    v0 = np.random.default_rng(seed).standard_normal((n1, n2))
-    inv_symbol = _inv_symbol(symbol)
-    make, family = ((_reflection_sector, _REFLECTION_SECTORS) if _reflection_even(op)
-                    else (_deck_sector, _DECK_SIGNS))
-    # a cone metric's even half is exact, so only the family's odd half is solved
-    kinds = family if op.t is None else family[len(family) // 2:]
-    sectors = [make(op, kind, v0, inv_symbol) for kind in kinds]
-    known = np.zeros(1) if op.t is None else _even_spectrum(m)
+    if op.t is not None:
+        lam, diagnostics = _odd_spectrum(op, m, seed)
+    elif np.all(op.weight == op.weight[0]):
+        lam = np.sort(_unfolded_symbol(symbol, n2))[:m] / op.weight[0]
+        diagnostics = SolverDiagnostics(0.0, 0, 0, 0)
+    else:
+        raise DomainError("a flat torus (t None) needs a constant weight")
+    return SpectrumResult(
+        eigenvalues=lam,
+        grid_shape=op.grid_shape,
+        sigma=op.sigma,
+        t=op.t,
+        diagnostics=diagnostics,
+        area=op.area,
+        zeta0=op.zeta0,
+        seed=seed,
+    )
+
+
+def _odd_spectrum(op: AssembledOperator, m: int, seed: int) -> tuple[np.ndarray, SolverDiagnostics]:
+    """A cone metric's lowest m eigenvalues, and the SolverDiagnostics of their solve.
+
+    The deck-even half is ``_even_spectrum(m)``, the deck-odd half the
+    reciprocals of the top eigenvalues of B = W^(1/2) K^+ W^(1/2) on the odd
+    sectors of the module docstring.  With S = 2 or 4, twice their number,
+    each gets one seeded Lanczos run for ceil((m - 1) / S) + S modes on its
+    grid values x, each standing for D grid points: with out = sqrt(D w) and
+    inn = out / D, B is x -> out K^+ (inn x), and psi = full(K^+ (inn x)).
+
+    Coverage guard: a sector of k modes whose largest computed eigenvalue
+    lies below the merged cutoff could miss a mode below it.  With c merged
+    modes above its top, it is solved again with k + c + 1, up to its
+    dimension less one, and ConvergenceError is raised if even that does not
+    cover the cutoff.  The two lowest eigenpairs of each solved sector must
+    have a residual below 1e-8, measured with K and W on the full grid.
+    """
+    # with eigsh, the first solve of a process imports scipy's ARPACK
+    from scipy.sparse.linalg import LinearOperator
+
+    w = op.weight.reshape(op.grid_shape)
+    v0 = np.random.default_rng(seed).standard_normal(op.grid_shape)
+    inv_symbol = _inv_symbol(op.stiffness)
+    sectors = ([_reflection_sector(op, parity, v0, inv_symbol) for parity in _REFLECTION_SECTORS]
+               if _reflection_even(op) else [_deck_sector(op, v0, inv_symbol)])
+    known = _even_spectrum(m)
     matvecs = resolves = 0
 
     def solve_sector(sector, k):
@@ -419,12 +426,13 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
         for lam_j, x in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
             psi = sector.full(sector.inv_k(inn * x))
             w_psi = lam_j * w * psi
-            residual = max(residual, float(np.linalg.norm(_fourier_multiply(symbol, psi) - w_psi)
-                                           / np.linalg.norm(w_psi)))
+            gap = _fourier_multiply(op.stiffness, psi) - w_psi
+            residual = max(residual, float(np.linalg.norm(gap) / np.linalg.norm(w_psi)))
         return lam_s, residual
 
     # ceil((m - 1) / S) + S modes from each solved sector; eigsh needs k < dim
-    k_first = -(-(m - 1) // len(family)) + len(family)
+    family = 2 * len(sectors)
+    k_first = -(-(m - 1) // family) + family
     ks = [min(k_first, sector.start.size - 1) for sector in sectors]
     solved = [solve_sector(sector, k) for sector, k in zip(sectors, ks)]
     while True:
@@ -446,16 +454,7 @@ def lowest_eigenvalues(op: AssembledOperator, m: int, seed: int = 0) -> Spectrum
     residual = max(r for _, r in solved)
     if not residual <= 1.0e-8:
         raise ConvergenceError(f"eigenpairs not resolved: relative residual {residual:.3e}")
-    return SpectrumResult(
-        eigenvalues=lam,
-        grid_shape=op.grid_shape,
-        sigma=op.sigma,
-        t=op.t,
-        diagnostics=SolverDiagnostics(residual, matvecs, len(sectors), resolves),
-        area=op.area,
-        zeta0=op.zeta0,
-        seed=seed,
-    )
+    return lam, SolverDiagnostics(residual, matvecs, len(sectors), resolves)
 
 
 def weyl_check(spec: SpectrumResult) -> float:

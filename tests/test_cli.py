@@ -79,6 +79,7 @@ def test_reruns_are_byte_identical(capsys):
         ["det", "--t", "0.7+0.2i", "--format", "json"],
         ["orbit", "--t", "0.3+0.4i"],
         ["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10", "--format", "json"],
+        ["spectrum", "--t", "0.3+0.4i", "--grid", "32", "--modes", "10", "--format", "json"],
     ):
         _, first = run_cli(list(argv), capsys)
         _, second = run_cli(list(argv), capsys)
@@ -137,7 +138,7 @@ def test_orbit_that_leaves_the_double_range_exits_2(command, t, member, capsys):
 
 
 def test_exit_code_2_on_solver_failure(wrong_eigenvalues, capsys):
-    for argv in (["spectrum", "--sigma", "i", "--grid", "32", "--modes", "10"],
+    for argv in (["spectrum", "--t", "0.3+0.4i", "--grid", "32", "--modes", "10"],
                  ["verify", "--suite", "spectral"]):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -192,11 +192,13 @@ ORACLE_CASES = {
     # odd sides: at 33 x 35 the reversal of the flattened grid fixes the
     # middle entry, which belongs to the even sector
     "curved_33x35": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (33, 35)),
-    # the cone sits on that middle entry above (weight 1.6e-32); here it has weight 1
+    # the cone sits on that middle entry above (weight 1.6e-32); at t = 2 it
+    # lies off the grid and the middle entry has weight 27.5
+    "curved_33x35_t2": lambda: assemble(sigma_from_t(2.0), 2.0, (33, 35)),
     "flat_33x35": lambda: flat_operator(0.5 + 1j, (33, 35)),
     "curved_63x64": lambda: assemble(sigma_from_t(T_ORACLE), T_ORACLE, (63, 64)),
-    # real t in (0, 1): a rectangular lattice, solved in the four sectors of
-    # row and column reversal
+    # real t in (0, 1): a rectangular lattice, solved in the two odd sectors
+    # of row and column reversal
     "rectangular": lambda: assemble(sigma_from_t(0.3), 0.3, 64),
     "rectangular_64x128": lambda: assemble(sigma_from_t(0.3), 0.3, (64, 128)),
 }
@@ -234,35 +236,88 @@ def test_sparse_oracle_rejects_symbol_without_cross_term():
     assert oracle_gap(mutant) > 1e-3
 
 
-def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
-    # building the odd sector with the even sign solves the even sector, which
-    # holds the constant: with a nonconstant weight, B = W^1/2 K^+ W^1/2 then
-    # does not keep its eigenvectors off W^1/2 1 (measured residual 0.31), so
-    # every cone solve on the deck path raises, even_sector_gap's included
-    monkeypatch.setattr(spectral, "_DECK_SIGNS", (1.0, 1.0))
-    with pytest.raises(ConvergenceError, match="residual"):
-        oracle_gap(ORACLE_CASES["curved"]())
+def test_flat_oracle_rejects_the_half_spectrum_alone(monkeypatch):
+    # a flat spectrum is the symbol's values over the weight; without the
+    # mirrored columns 0 < k < n2 / 2 each of those frequencies counts once
+    # (measured gaps 1.47 and 1.60)
+    monkeypatch.setattr(spectral, "_unfolded_symbol", lambda symbol, n2: symbol.ravel())
+    for case in ("flat", "flat_33x35"):
+        assert oracle_gap(ORACLE_CASES[case]()) > 1e-10
+
+
+def test_flat_spectrum_needs_a_constant_weight():
+    # deck-even but not constant: without t the weight cannot be a cone metric
+    op = flat_operator(0.5 + 1j, 32)
+    w = op.weight.copy()
+    w[[0, -1]] *= 2.0
+    with pytest.raises(DomainError, match="constant weight"):
+        lowest_eigenvalues(dataclasses.replace(op, weight=w), 10)
 
 
 DECK_SECTOR = spectral._deck_sector
 
 
-def fixed_point_at_multiplicity_two(op, sign, v0, inv_symbol):
-    """Mutant: the middle entry of an odd grid counted as a mirrored pair."""
-    sector = DECK_SECTOR(op, sign, v0, inv_symbol)
-    return sector._replace(mult=np.full(sector.weight.size, 2.0))
+def deck_sector_variant(h, sign):
+    """A deck sector maker on the first h(n) flattened grid values, mirrored with the given sign.
+
+    With h(n) = n // 2 and sign -1 it builds the package's odd sector.
+    """
+    def make(op, v0, inv_symbol):
+        n1, n2 = op.grid_shape
+        n, k = n1 * n2, h(n1 * n2)
+
+        def full(x):
+            y = np.zeros(n)
+            y[:k] = x
+            y[::-1][:n // 2] = sign * x[:n // 2]
+            return y.reshape(n1, n2)
+
+        return spectral._Sector(v0.ravel()[:k], op.weight[:k], 2.0, full,
+                                lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:k])
+    return make
+
+
+# Mutant: the odd sector's values extended by +x, so the solve runs on the
+# even sector less the middle entry
+EVEN_EXTENSION = deck_sector_variant(lambda n: n // 2, 1.0)
+# Mutant: the middle entry of an odd grid, the reversal's fixed point, kept
+# in the odd sector and counted as a mirrored pair
+FIXED_POINT_AT_MULTIPLICITY_TWO = deck_sector_variant(lambda n: n - n // 2, -1.0)
+
+
+def test_deck_sector_variant_builds_the_odd_sector():
+    op = ORACLE_CASES["curved_33x35_t2"]()
+    v0 = np.random.default_rng(0).standard_normal(op.grid_shape)
+    inv_symbol = spectral._inv_symbol(op.stiffness)
+    ours = deck_sector_variant(lambda n: n // 2, -1.0)(op, v0, inv_symbol)
+    theirs = DECK_SECTOR(op, v0, inv_symbol)
+    x = np.random.default_rng(1).standard_normal(theirs.start.size)
+    assert np.array_equal(ours.start, theirs.start) and ours.mult == theirs.mult
+    assert np.array_equal(ours.full(x), theirs.full(x))
+    assert np.array_equal(ours.inv_k(x), theirs.inv_k(x))
+
+
+def test_sparse_oracle_rejects_both_sectors_even(monkeypatch):
+    # the even extension solves the even sector, which holds the constant:
+    # with a nonconstant weight, B = W^1/2 K^+ W^1/2 then does not keep its
+    # eigenvectors off W^1/2 1, so every cone solve on the deck path raises
+    monkeypatch.setattr(spectral, "_deck_sector", EVEN_EXTENSION)
+    with pytest.raises(ConvergenceError, match="residual"):
+        oracle_gap(ORACLE_CASES["curved"]())
 
 
 def test_sparse_oracle_rejects_the_fixed_point_at_multiplicity_two(monkeypatch):
-    monkeypatch.setattr(spectral, "_deck_sector", fixed_point_at_multiplicity_two)
+    # the fixed point must carry weight for the mutant to show: at t = 0.3+0.4i
+    # the cone sits on it and the mutant passes
+    monkeypatch.setattr(spectral, "_deck_sector", FIXED_POINT_AT_MULTIPLICITY_TWO)
     with pytest.raises(ConvergenceError, match="residual"):
-        oracle_gap(ORACLE_CASES["flat_33x35"]())
+        oracle_gap(ORACLE_CASES["curved_33x35_t2"]())
 
 
 def test_sparse_oracle_rejects_a_cosine_where_a_sine_belongs(monkeypatch):
     # the sin.cos sector built with a DCT along p solves cos.cos, which holds
     # the constant and fails the residual check as above
-    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 0), (1, 1), (0, 1), (0, 0)))
+    monkeypatch.setattr(spectral, "_REFLECTION_SECTORS", ((0, 1), (0, 0)))
     with pytest.raises(ConvergenceError, match="residual"):
         oracle_gap(ORACLE_CASES["rectangular"]())
 
@@ -272,14 +327,14 @@ def test_sparse_oracle_rejects_a_cosine_where_a_sine_belongs(monkeypatch):
     (0.3 + 0.4j, 64, 2), (0.3, (33, 35), 2), (0.3, (32, 35), 2),
 ])
 def test_sector_count(t, grid, family):
-    # the cone metric solves the odd half of its sector family, the flat
-    # torus of the same lattice the whole family
+    # the cone metric solves the odd half of its sector family; the flat
+    # torus of the same lattice solves nothing
     sigma = sigma_from_t(t)
-    for op, sectors in ((assemble(sigma, t, grid), family // 2),
-                        (flat_operator(sigma, grid), family)):
-        spec = lowest_eigenvalues(op, 12)
-        assert spec.diagnostics.sectors == sectors
-        assert spec.diagnostics.resolves == 0
+    spec = lowest_eigenvalues(assemble(sigma, t, grid), 12)
+    assert spec.diagnostics.sectors == family // 2
+    assert spec.diagnostics.resolves == 0
+    spec = lowest_eigenvalues(flat_operator(sigma, grid), 12)
+    assert spec.diagnostics == (0.0, 0, 0, 0)
 
 
 def test_weight_off_row_reversal_takes_the_deck_sectors():
@@ -292,14 +347,14 @@ def test_weight_off_row_reversal_takes_the_deck_sectors():
 
 
 def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
-    """Dense maps of the deck sectors of the flat (n1, n2) torus, and of its quarter-grid sectors.
+    """Dense maps of the flat (n1, n2) torus's odd deck sector and odd quarter-grid sectors.
 
     The quarter-grid sectors come only on grids with two even sides.
     Yields (name, D K^+, full, D, parity gap), with ``full`` as an
     (n1 n2) x dim matrix.  The parity gap is the largest departure of its
-    columns from the sector's parity: under reversal of the flattened grid
-    for a deck sector, under row and under column reversal for a
-    quarter-grid one.
+    columns from the sector's parity: oddness under reversal of the
+    flattened grid for the deck sector, under row and under column reversal
+    for a quarter-grid one.
     """
     sigma = 0.5 + 1j
     op = spectral.AssembledOperator(
@@ -307,19 +362,17 @@ def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
         t=None, grid_shape=(n1, n2), area=1.0, zeta0=-1.0)
     v0 = np.zeros((n1, n2))
     inv_symbol = spectral._inv_symbol(op.stiffness)
-    sectors = [(f"deck{sign:+.0f}", deck_sector(op, sign, v0, inv_symbol), [((0, 1), sign)])
-               for sign in spectral._DECK_SIGNS]
+    sectors = [("deck", deck_sector(op, v0, inv_symbol), [((0, 1), -1.0)])]
     if n1 % 2 == 0 and n2 % 2 == 0:
         sectors += [(f"quarter{a}{b}", spectral._reflection_sector(op, (a, b), v0, inv_symbol),
                      [((0,), 1 - 2 * a), ((1,), 1 - 2 * b)])
                     for a, b in spectral._REFLECTION_SECTORS]
     for name, sector, parities in sectors:
         eye = np.eye(sector.weight.size)
-        mult = np.broadcast_to(sector.mult, eye.shape[:1])
-        dk = np.stack([mult * sector.inv_k(e) for e in eye], axis=1)
+        dk = np.stack([sector.mult * sector.inv_k(e) for e in eye], axis=1)
         full = np.stack([sector.full(e) for e in eye], axis=-1)
         parity = max(np.abs(np.flip(full, axes) - sign * full).max() for axes, sign in parities)
-        yield name, dk, full.reshape(n1 * n2, -1), mult, parity
+        yield name, dk, full.reshape(n1 * n2, -1), sector.mult, parity
 
 
 def sector_map_gaps(n1, n2, deck_sector=DECK_SECTOR):
@@ -338,7 +391,7 @@ def sector_map_gaps(n1, n2, deck_sector=DECK_SECTOR):
         if names:
             # the family's extensions are orthogonal, with squared norms D
             f = np.concatenate([fulls[name] for name in names], axis=1)
-            d = np.concatenate([mults[name] for name in names])
+            d = np.concatenate([np.full(fulls[name].shape[1], mults[name]) for name in names])
             gaps["multiplicity"] = max(gaps["multiplicity"], np.abs(f.T @ f - np.diag(d)).max())
     return gaps, {name: f.shape[1] for name, f in fulls.items()}
 
@@ -352,16 +405,16 @@ def test_sector_maps_are_symmetric_and_split_the_grid(grid):
     n = n1 * n2
     gaps, dims = sector_map_gaps(n1, n2)
     assert all(gap <= 1e-13 for gap in gaps.values()), gaps
-    assert [dims["deck+1"], dims["deck-1"]] == [n - n // 2, n // 2]
+    assert dims["deck"] == n // 2
     quarters = [dims[name] for name in dims if name.startswith("quarter")]
-    assert quarters == ([n // 4] * 4 if n1 % 2 == 0 and n2 % 2 == 0 else [])
+    assert quarters == ([n // 4] * 2 if n1 % 2 == 0 and n2 % 2 == 0 else [])
 
 
 def test_sector_map_check_rejects_the_fixed_point_at_multiplicity_two():
     # only grids with two odd sides have a fixed point
     for n1, n2 in ((5, 7), (9, 9)):
-        gaps, _ = sector_map_gaps(n1, n2, fixed_point_at_multiplicity_two)
-        assert gaps["symmetric"] > 0.1 and gaps["multiplicity"] == 1.0
+        gaps, _ = sector_map_gaps(n1, n2, FIXED_POINT_AT_MULTIPLICITY_TWO)
+        assert gaps["symmetric"] > 0.1 and gaps["multiplicity"] == 1.0 and gaps["parity"] == 2.0
 
 
 def counted_requests(monkeypatch, cut_first=0):
@@ -411,15 +464,15 @@ def test_coverage_guard_gives_up_at_the_sector_dimension(monkeypatch):
         return np.sort(1.0 / lam), np.eye(b_op.shape[0], lam.size)
 
     monkeypatch.setattr(spectral, "eigsh", short_sector)
-    for sigma, ks_expected in (
-        # two deck sectors of dimension 512 (sheared lattice)
-        (0.5 + 1j, [7, 7, *range(14, 505, 7), 511]),
-        # four reflection sectors of dimension 256 (rectangular lattice)
-        (1j, [7, 7, 7, 7, *range(14, 253, 7), 255]),
+    for t, ks_expected in (
+        # the odd deck sector, of dimension 512 (sheared lattice)
+        (0.3 + 0.4j, [7, *range(14, 505, 7), 511]),
+        # two odd reflection sectors of dimension 256 (rectangular lattice)
+        (0.3, [7, 7, *range(14, 253, 7), 255]),
     ):
         ks.clear()
         with pytest.raises(ConvergenceError, match="cannot cover"):
-            lowest_eigenvalues(flat_operator(sigma, 32), 10)
+            lowest_eigenvalues(assemble(sigma_from_t(t), t, 32), 10)
         assert ks == ks_expected
 
 
@@ -461,9 +514,9 @@ def test_assembled_operator_structure():
 
 
 def test_wrong_eigenvalues_raise(wrong_eigenvalues):
-    for sigma in (0.5 + 1.0j, 1j):  # deck and reflection sectors
+    for t in (0.3 + 0.4j, 0.3):  # deck and reflection sectors
         with pytest.raises(ConvergenceError):
-            lowest_eigenvalues(flat_operator(sigma, 32), 10)
+            lowest_eigenvalues(assemble(sigma_from_t(t), t, 32), 10)
 
 
 @pytest.mark.parametrize("entry, value", [((3, 2), 0.0), ((5, 0), -1.0), ((0, 0), 1.0)])
@@ -485,7 +538,7 @@ def test_mode_count_guards():
 
 
 def test_zero_mode_clamped_and_diagnosed():
-    spec = lowest_eigenvalues(flat_operator(1j, 64), 12, seed=0)
+    spec = cone_spectrum(0.3 + 0.4j, 64, 12)
     assert spec.eigenvalues[0] == 0.0
     assert spec.diagnostics[0] <= 1e-8
     assert spec.diagnostics[1] > 0
@@ -493,7 +546,7 @@ def test_zero_mode_clamped_and_diagnosed():
 
 
 def test_seed_reproducibility():
-    op = flat_operator(0.2 + 0.9j, 64)
+    op = assemble(sigma_from_t(T_ORACLE), T_ORACLE, 64)
     a = lowest_eigenvalues(op, 12, seed=3)
     b = lowest_eigenvalues(op, 12, seed=3)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
@@ -517,7 +570,7 @@ def test_spectrum_json_roundtrip(capsys):
     assert d["t"] is None
     assert float(d["diagnostics"]["residual"]) == printed(spec.diagnostics[0])
     assert d["diagnostics"]["matvecs"] == spec.diagnostics[1]
-    assert d["diagnostics"]["sectors"] == spec.diagnostics.sectors == 4
+    assert d["diagnostics"]["sectors"] == spec.diagnostics.sectors == 0
     assert d["diagnostics"]["resolves"] == spec.diagnostics.resolves
     assert float(d["area"]) == spec.area and float(d["zeta0"]) == spec.zeta0
     assert d["seed"] == 1
