@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import _rho_inverse
 from .moduli import sigma_from_t, validate_t
-from .specialfn import _complete_KE, as_sigma, dedekind_eta
+from .specialfn import _complete_KE, as_sigma, dedekind_eta, reduce_to_fundamental_domain
 
 __all__ = [
     "DetValue",
@@ -86,9 +87,16 @@ def flat_det(sigma) -> DetValue:
 
     Modular invariant: unimodular images of sigma give the same value.
     Summed in logs, since |eta|^4 ~ e^(-pi Im sigma / 3) is subnormal from Im sigma ~ 680.
+    Where eta itself is subnormal or 0 (reduced Im sigma above about 2706) its
+    q-product is 1, and the value is log Im sigma_r - pi Im sigma_r / 3 at the
+    reduced point sigma_r.
     """
     s = as_sigma(sigma)
-    return DetValue(math.log(s.imag) + 4.0 * math.log(abs(dedekind_eta(s))))
+    eta = abs(dedekind_eta(s))
+    if eta < sys.float_info.min:
+        s = reduce_to_fundamental_domain(s).reduced[0]
+        return DetValue(math.log(s.imag) - math.pi * s.imag / 3.0)
+    return DetValue(math.log(s.imag) + 4.0 * math.log(eta))
 
 
 def det_value(t) -> DetValue:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DomainError, NormalizationError
 from .moduli import validate_t
 from .numdiff import laplacian5
-from .specialfn import _theta_grid, as_sigma, theta
+from .specialfn import _theta_series, as_sigma, theta
 
 __all__ = [
     "conformal_map",
@@ -253,11 +254,16 @@ def _e2phi_from_cover(cov: TorusCovering, theta_at) -> np.ndarray:
 
 
 def grid_pair(grid_shape) -> tuple[int, int]:
-    """(n1, n2) from an integer (square grid) or a pair; both at least 32."""
-    if isinstance(grid_shape, int):
-        n1 = n2 = grid_shape
-    else:
-        n1, n2 = (int(n) for n in grid_shape)
+    """(n1, n2) from an integer (square grid) or a pair of integers; both at least 32."""
+    if isinstance(grid_shape, numbers.Integral):
+        grid_shape = (grid_shape, grid_shape)
+    try:
+        n1, n2 = grid_shape
+    except (TypeError, ValueError):
+        n1 = n2 = None
+    if not (isinstance(n1, numbers.Integral) and isinstance(n2, numbers.Integral)):
+        raise DomainError(f"grid must be an integer or a pair of integers, got {grid_shape!r}")
+    n1, n2 = int(n1), int(n2)
     if n1 < 32 or n2 < 32:
         raise DomainError(f"grid {n1}x{n2} too coarse; need at least 32 points per side")
     return n1, n2
@@ -277,7 +283,8 @@ def conformal_factor_on_torus(sigma, t, grid_shape) -> ConformalField:
 
     cov = TorusCovering(s, tc)
     p, q = _grid_coords(n1, n2)
-    vals = _e2phi_from_cover(cov, lambda i: _theta_grid(cov._LABELS_AND_CHARS[i][1], p, q, s))
+    vals = _e2phi_from_cover(
+        cov, lambda i: _theta_series(*cov._LABELS_AND_CHARS[i][1], p, q, s, grid=True))
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         raise NormalizationError("conformal factor must be finite and nonnegative")
 
@@ -315,31 +322,32 @@ def save_field(field: ConformalField, path) -> None:
 
 
 def load_field(path) -> ConformalField:
-    """Read a grid file produced by save_field."""
+    """Read a grid file produced by save_field; a foreign or truncated one raises DomainError."""
     header: dict[str, list[str]] = {}
     singular = []
     with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _FIELD_MAGIC:
+        if fh.readline().rstrip("\n") != _FIELD_MAGIC:
             raise DomainError(f"not a conformal-factor grid file: {path}")
-        pos = fh.tell()
-        while True:
-            line = fh.readline()
-            if not line.startswith("#"):
-                break
-            parts = line[1:].split()
-            if parts[0] == "singular":
-                singular.append(((int(parts[1]), int(parts[2])), int(parts[3])))
-            elif parts[0] == "labeling":
-                header["labeling"] = parts[1:]
-            else:
-                header[parts[0]] = parts[1:]
+        try:
             pos = fh.tell()
-        fh.seek(pos)
-        values = np.loadtxt(fh, ndmin=2)
-    sigma = complex(float(header["sigma"][0]), float(header["sigma"][1]))
-    t = complex(float(header["t"][0]), float(header["t"][1]))
-    n1, n2 = int(header["grid"][0]), int(header["grid"][1])
+            while True:
+                line = fh.readline()
+                if not line.startswith("#"):
+                    break
+                key, *fields = line[1:].split()
+                if key == "singular":
+                    j, k, order = (int(f) for f in fields)
+                    singular.append(((j, k), order))
+                else:
+                    header[key] = fields
+                pos = fh.tell()
+            fh.seek(pos)
+            values = np.loadtxt(fh, ndmin=2)
+            sigma = complex(float(header["sigma"][0]), float(header["sigma"][1]))
+            t = complex(float(header["t"][0]), float(header["t"][1]))
+            n1, n2 = int(header["grid"][0]), int(header["grid"][1])
+        except (KeyError, IndexError, ValueError) as exc:
+            raise DomainError(f"malformed conformal-factor grid file {path}: {exc!r}") from None
     if values.shape != (n1, n2):
         raise DomainError(f"grid file body {values.shape} disagrees with header ({n1}, {n2})")
     return ConformalField(

@@ -14,7 +14,10 @@ Conventions fixed once for the whole package:
 
 All of them require Im sigma > 0.  Theta series are truncated with a
 certified geometric tail bound: the dropped tail is below 1e-14 relative
-to the largest retained term.
+to the largest retained term.  Points and grids share one theta series.
+Tested theta accuracy: 1e-13 of the sum of |terms| against a 50-digit
+series, sigma toward every cusp; theta(z + m) = (-1)^(a m) theta(z) to
+1e-13 for |m| up to 10^6 + 1.
 """
 
 from __future__ import annotations
@@ -84,37 +87,6 @@ def as_sigma(sigma) -> complex:
     return s
 
 
-def _theta_core(a: int, b: int, z, sigma: complex):
-    """Evaluate theta[a,b] on an array of arguments.
-
-    The argument is first reduced modulo the lattice Z + sigma Z, which keeps
-    the series short and the terms bounded; the quasi-periodicity factor
-    exp(i pi (a m - b n) - i pi n^2 sigma - 2 pi i n z_red) restores the value.
-    """
-    y = sigma.imag
-    z = np.asarray(z, dtype=np.complex128)
-    if z.size and not np.all(np.isfinite(z)):
-        raise DomainError("theta argument must be finite")
-
-    n_sh = np.round(z.imag / y)
-    z_mid = z - n_sh * sigma
-    m_sh = np.round(z_mid.real)
-    z_red = z_mid - m_sh
-
-    # largest |Im z_red| / Im sigma after reduction is about 0.5
-    ns = _theta_indices(a, np.max(np.abs(z_red.imag)) / y if z.size else 0.0, y)
-    zz = z_red.reshape(z_red.shape + (1,))
-    expo = (1j * math.pi * sigma) * ns**2 + (2j * math.pi) * ns * (zz + 0.5 * b)
-    series = np.exp(expo).sum(axis=-1)
-
-    phase = np.exp(
-        1j * math.pi * (a * m_sh - b * n_sh)
-        - 1j * math.pi * n_sh**2 * sigma
-        - 2j * math.pi * n_sh * z_red
-    )
-    return phase * series
-
-
 def _theta_indices(a: int, v_ratio: float, y: float) -> np.ndarray:
     """Summation indices n + a/2 of the truncated series at |Im z| <= v_ratio Im sigma."""
     n_max = int(math.ceil(v_ratio + math.sqrt(_TAIL_EXPONENT / (math.pi * y)) + 2.0))
@@ -124,22 +96,28 @@ def _theta_indices(a: int, v_ratio: float, y: float) -> np.ndarray:
     return np.arange(-n_max, n_max + 1, dtype=np.float64) + 0.5 * a
 
 
-def _theta_grid(char, p: np.ndarray, q: np.ndarray, sigma: complex) -> np.ndarray:
-    """theta[a,b](p_j + sigma q_k | sigma) on a grid of real p and q, as a matrix.
+def _theta_series(a: int, b: int, p: np.ndarray, q: np.ndarray, sigma: complex,
+                  grid: bool) -> np.ndarray:
+    """theta[a,b](p + sigma q | sigma) at real coordinates p and q.
 
-    Reducing q alone, q_red = q - round(q), it is rows @ cols with rows[j, v] = exp(2 pi i v p_j),
-    cols[v, k] = exp(i pi v^2 sigma + 2 pi i v (sigma q_red_k + b/2)), times _theta_core's factor.
+    With ``grid`` at every p_j + sigma q_k, as a matrix; else at the points p_j + sigma q_j.
+    M = floor(p) and N = round(q) come off exactly, which bounds the terms
+    (M = 0 on cell centres p in [0, 1)), and the exact sign restores the value:
+    theta(z + M + N sigma) = (-1)^(a M - b N) e^(-i pi N^2 sigma - 2 pi i N z) theta(z).
+    A term of the reduced series is exp(2 pi i v p) exp(i pi v^2 sigma + 2 pi i v
+    (sigma q + b/2)), v = n + a/2: one matrix product on the grid, elementwise at points.
     """
-    a, b = char
-    n_sh = np.round(q)
-    q_red = q - n_sh
-    ns = _theta_indices(a, np.max(np.abs(q_red)), sigma.imag)
-    out = np.exp((2j * math.pi) * np.outer(p, ns)) @ np.exp(
-        (1j * math.pi * sigma) * ns[:, None] ** 2
-        + (2j * math.pi) * np.outer(ns, sigma * q_red + 0.5 * b))
-    out *= np.exp(-1j * math.pi * (b * n_sh + n_sh**2 * sigma)
-                  - 2j * math.pi * (np.outer(p, n_sh) + n_sh * sigma * q_red))
-    return out
+    outer = np.multiply.outer if grid else np.multiply
+    m_sh, n_sh = np.floor(p), np.round(q)
+    p, q = p - m_sh, q - n_sh
+    # largest |Im z| / Im sigma after reduction is about 0.5
+    ns = _theta_indices(a, np.abs(q).max() if q.size else 0.0, sigma.imag)
+    rows = np.exp((2j * math.pi) * np.multiply.outer(p, ns))
+    cols = np.exp((1j * math.pi * sigma) * ns**2
+                  + (2j * math.pi) * np.multiply.outer(sigma * q + 0.5 * b, ns))
+    series = rows @ cols.T if grid else (rows * cols).sum(axis=-1)
+    return series * outer((-1.0) ** (a * m_sh), (-1.0) ** (b * n_sh)) * np.exp(
+        -2j * math.pi * outer(p, n_sh) - 1j * math.pi * sigma * n_sh * (n_sh + 2.0 * q))
 
 
 def _check_char(char) -> tuple[int, int]:
@@ -163,14 +141,24 @@ def theta(char, z, sigma):
     z-derivative, that of the covering, follows from its algebraic equation
     (see ``geometry``).  Raises ConvergenceError when Im sigma is so small
     that the truncated series would need more than 100000 terms.
+
+    Tested accuracy: within 1e-13 of a 50-digit series, relative to the sum
+    of |terms| (|theta| unless the terms cancel), for sigma toward every
+    cusp and z within 1.5 periods.  An integer comes off Re z before
+    anything is rounded, so theta(z + m) = (-1)^(a m) theta(z) holds to
+    1e-13 for |m| up to 10^6 + 1, exactly where z + m is exact.
     """
     a, b = _check_char(char)
     s = as_sigma(sigma)
-    scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
-    out = _theta_core(a, b, z, s)
-    if scalar:
-        return complex(out)
-    return out
+    z = np.asarray(z, dtype=np.complex128)
+    if not np.isfinite(z).all():
+        raise DomainError("theta argument must be finite")
+    # an integer off Re z is exact, and theta(z + m) = (-1)^(a m) theta(z)
+    m_sh = np.round(z.real)
+    z = z - m_sh
+    q = z.imag / s.imag
+    out = (-1.0) ** (a * m_sh) * _theta_series(a, b, z.real - q * s.real, q, s, grid=False)
+    return complex(out) if z.ndim == 0 else out
 
 
 def _eta_qproduct(sigma: complex) -> complex:

@@ -126,14 +126,12 @@ class SolverDiagnostics(NamedTuple):
 class _Sector(NamedTuple):
     """One symmetry sector, on the grid values its Lanczos run works on.
 
-    ``weight`` is W on those values, ``mult`` the number of grid points
-    each of them stands for (D), ``full`` extends them to the whole grid by
-    the sector's parity and ``inv_k`` applies K^+ within the sector.
+    ``weight`` is W on those values, ``full`` extends them to the whole grid
+    by the sector's parity and ``inv_k`` applies K^+ within the sector.
     """
 
     start: np.ndarray
     weight: np.ndarray
-    mult: float
     full: Callable
     inv_k: Callable
 
@@ -277,7 +275,7 @@ def _deck_sector(op: AssembledOperator, v0: np.ndarray, inv_symbol: np.ndarray) 
         y[::-1][:h] = -x
         return y.reshape(n1, n2)
 
-    return _Sector(v0.ravel()[:h], op.weight[:h], 2.0, full,
+    return _Sector(v0.ravel()[:h], op.weight[:h], full,
                    lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:h])
 
 
@@ -313,7 +311,7 @@ def _reflection_sector(op: AssembledOperator, parity, v0: np.ndarray,
 
     start = v0[a * h1:(a + 1) * h1, b * h2:(b + 1) * h2].ravel()
     weight = op.weight.reshape(n1, n2)[:h1, :h2].ravel()
-    return _Sector(start, weight, 4.0, full, inv_k)
+    return _Sector(start, weight, full, inv_k)
 
 
 def _reflection_even(op: AssembledOperator) -> bool:
@@ -385,8 +383,8 @@ def _odd_spectrum(op: AssembledOperator, m: int, seed: int) -> tuple[np.ndarray,
     reciprocals of the top eigenvalues of B = W^(1/2) K^+ W^(1/2) on the odd
     sectors of the module docstring.  With S = 2 or 4, twice their number,
     each gets one seeded Lanczos run for ceil((m - 1) / S) + S modes on its
-    grid values x, each standing for D grid points: with out = sqrt(D w) and
-    inn = out / D, B is x -> out K^+ (inn x), and psi = full(K^+ (inn x)).
+    grid values x, where B is x -> sqrt(w) K^+ (sqrt(w) x) and
+    psi = full(K^+ (sqrt(w) x)).
 
     Coverage guard: a sector of k modes whose largest computed eigenvalue
     lies below the merged cutoff could miss a mode below it.  With c merged
@@ -408,13 +406,12 @@ def _odd_spectrum(op: AssembledOperator, m: int, seed: int) -> tuple[np.ndarray,
 
     def solve_sector(sector, k):
         dim = sector.start.size
-        out = np.sqrt(sector.mult * sector.weight)
-        inn = out / sector.mult
+        root_w = np.sqrt(sector.weight)
 
         def apply_b(x):
             nonlocal matvecs
             matvecs += 1
-            return out * sector.inv_k(inn * x)
+            return root_w * sector.inv_k(root_w * x)
 
         b_op = LinearOperator((dim, dim), matvec=apply_b, dtype=np.float64)
         mu, vecs = eigsh(b_op, k=k, which="LA", v0=sector.start, tol=0.0)
@@ -424,7 +421,7 @@ def _odd_spectrum(op: AssembledOperator, m: int, seed: int) -> tuple[np.ndarray,
         residual = 0.0
         # ascending mu: the lowest eigenpairs come last
         for lam_j, x in zip(lam_s[-_CHECKED_PAIRS:], vecs.T[-_CHECKED_PAIRS:]):
-            psi = sector.full(sector.inv_k(inn * x))
+            psi = sector.full(sector.inv_k(root_w * x))
             w_psi = lam_j * w * psi
             gap = _fourier_multiply(op.stiffness, psi) - w_psi
             residual = max(residual, float(np.linalg.norm(gap) / np.linalg.norm(w_psi)))

@@ -97,13 +97,16 @@ def test_flat_det_modular_invariance():
 
 
 def test_flat_det_where_eta_to_the_fourth_goes_subnormal():
-    # |eta|^4 = e^(-pi Im sigma / 3) is subnormal at 700i and 0 at 720i
-    for y in (700.0, 720.0):
+    # |eta|^4 = e^(-pi Im sigma / 3) is subnormal at 700i and 0 at 720i; eta
+    # itself has lost digits at 2840i and is 0 at 3000i and, reduced, at 1e-4 i
+    for sigma in (700j, 720j, 2840j, 3000j, 1e-4j):
+        # flat_det is modular invariant: the reference is taken at -1/sigma
+        y = max(sigma.imag, 1.0 / sigma.imag)
         with mpmath.workdps(30):
             s = mpmath.mpc(0, y)
             q = mpmath.exp(2j * mpmath.pi * s)
             ref = float(mpmath.log(y) - mpmath.pi * y / 3 + 4 * mpmath.log(abs(mpmath.qp(q))))
-        assert abs(flat_det(complex(0.0, y)).log_value - ref) <= 1e-15 * abs(ref)
+        assert abs(flat_det(sigma).log_value - ref) <= 1e-15 * abs(ref), sigma
 
 
 def test_det_value_next_to_zero_against_mpmath():

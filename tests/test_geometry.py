@@ -31,7 +31,7 @@ from conetorus import (
 )
 from conetorus import geometry
 from conetorus.errors import DomainError, NormalizationError
-from conetorus.geometry import _e2phi_from_cover, _grid_coords
+from conetorus.geometry import _e2phi_from_cover, _grid_coords, grid_pair
 from conetorus.numdiff import laplacian5
 
 
@@ -357,3 +357,31 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text("not a grid file\n1 2 3\n")
     with pytest.raises(DomainError):
         load_field(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda line: "" if line.startswith("# t ") else line,  # no t
+    lambda line: "# grid 2\n" if line.startswith("# grid") else line,
+    lambda line: "# singular 1 1\n" if line.startswith("# singular") else line,
+    lambda line: "#\n" + line if line.startswith("# labeling") else line,
+], ids=["missing_t", "short_grid", "short_singular", "bare_hash"])
+def test_load_rejects_truncated_headers(tmp_path, edit):
+    t = 2.0 + 1.0j
+    path = tmp_path / "field.txt"
+    save_field(conformal_factor_on_torus(sigma_from_t(t), t, 32), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(line) for line in lines))
+    with pytest.raises(DomainError):
+        load_field(path)
+
+
+@pytest.mark.parametrize("grid", [32.7, (32, 40.9), "64", (32,)], ids=repr)
+def test_grid_pair_rejects_non_integral_sides(grid):
+    # "64" is not a 6 x 4 grid, and 40.9 is not 40
+    with pytest.raises(DomainError, match="pair of integers"):
+        grid_pair(grid)
+
+
+def test_grid_pair_accepts_numpy_integers():
+    assert grid_pair(np.int64(64)) == (64, 64)
+    assert grid_pair((np.int32(48), 64)) == (48, 64)

@@ -129,16 +129,32 @@ def test_theta_accepts_arrays():
 
 @pytest.mark.parametrize("t", [1e-3 * (1 + 1j), 0.999 - 0.01j, 30.0 - 20.0j])
 def test_theta_grid_matches_pointwise_theta(t):
-    # the one-product grid evaluator against the pointwise series, on an
-    # odd x even cell-centred grid, for sigma toward each cusp of t
+    # the series' grid combination (one matrix product) against its point
+    # combination behind theta, on an odd x even cell-centred grid, for
+    # sigma toward each cusp of t; brute_theta and the mpmath oracle are
+    # the independent references
     sigma = sigma_from_t(t).sigma
     p = (np.arange(33) + 0.5) / 33
     q = (np.arange(64) + 0.5) / 64
     z = p[:, None] + sigma * q[None, :]
     for char in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        grid = specialfn._theta_grid(char, p, q, sigma)
+        grid = specialfn._theta_series(*char, p, q, sigma, grid=True)
         ref = theta(char, z, sigma)
         assert np.max(np.abs(grid - ref) / np.abs(ref)) <= 1e-13, char
+
+
+@pytest.mark.parametrize("m", [1, 1000, 10001, 10**6, 10**6 + 1])
+def test_theta_is_exact_under_integer_shifts(m):
+    # theta(z + m) = (-1)^(a m) theta(z): the integer comes off Re z before
+    # anything is rounded, and the sign is taken exactly, not as exp(i pi a m)
+    for sigma in (0.2 + 0.9j, -0.45 + 0.6j, 1j):
+        for z0 in (0.25 + 0.125j, -0.375 + 0.5j):  # z0 + m is exact
+            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                base = theta((a, b), z0, sigma)
+                for shift in (m, -m):
+                    got = theta((a, b), z0 + shift, sigma)
+                    assert abs(got - (-1) ** (a * shift) * base) <= 1e-13 * abs(base), \
+                        (sigma, z0, (a, b), shift)
 
 
 def test_theta_null_product_is_eta_cubed():

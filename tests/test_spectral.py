@@ -272,7 +272,7 @@ def deck_sector_variant(h, sign):
             y[::-1][:n // 2] = sign * x[:n // 2]
             return y.reshape(n1, n2)
 
-        return spectral._Sector(v0.ravel()[:k], op.weight[:k], 2.0, full,
+        return spectral._Sector(v0.ravel()[:k], op.weight[:k], full,
                                 lambda x: _fourier_multiply(inv_symbol, full(x)).ravel()[:k])
     return make
 
@@ -292,7 +292,7 @@ def test_deck_sector_variant_builds_the_odd_sector():
     ours = deck_sector_variant(lambda n: n // 2, -1.0)(op, v0, inv_symbol)
     theirs = DECK_SECTOR(op, v0, inv_symbol)
     x = np.random.default_rng(1).standard_normal(theirs.start.size)
-    assert np.array_equal(ours.start, theirs.start) and ours.mult == theirs.mult
+    assert np.array_equal(ours.start, theirs.start)
     assert np.array_equal(ours.full(x), theirs.full(x))
     assert np.array_equal(ours.inv_k(x), theirs.inv_k(x))
 
@@ -350,7 +350,7 @@ def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
     """Dense maps of the flat (n1, n2) torus's odd deck sector and odd quarter-grid sectors.
 
     The quarter-grid sectors come only on grids with two even sides.
-    Yields (name, D K^+, full, D, parity gap), with ``full`` as an
+    Yields (name, K^+, full, parity gap), with ``full`` as an
     (n1 n2) x dim matrix.  The parity gap is the largest departure of its
     columns from the sector's parity: oddness under reversal of the
     flattened grid for the deck sector, under row and under column reversal
@@ -369,30 +369,33 @@ def sector_maps(n1, n2, deck_sector=DECK_SECTOR):
                     for a, b in spectral._REFLECTION_SECTORS]
     for name, sector, parities in sectors:
         eye = np.eye(sector.weight.size)
-        dk = np.stack([sector.mult * sector.inv_k(e) for e in eye], axis=1)
+        inv_k = np.stack([sector.inv_k(e) for e in eye], axis=1)
         full = np.stack([sector.full(e) for e in eye], axis=-1)
         parity = max(np.abs(np.flip(full, axes) - sign * full).max() for axes, sign in parities)
-        yield name, dk, full.reshape(n1 * n2, -1), sector.mult, parity
+        yield name, inv_k, full.reshape(n1 * n2, -1), parity
 
 
 def sector_map_gaps(n1, n2, deck_sector=DECK_SECTOR):
-    """Largest departures from symmetry of D K^+, from parity and from D = full^T full.
+    """Largest departures from symmetry of K^+, from parity and from D = full^T full.
 
-    Also returns each sector's dimension by name.
+    Each value of a sector stands for D grid points: 2 per mirrored pair of
+    the deck sector, 4 on the quarter grid.  Also returns each sector's
+    dimension by name.
     """
     gaps = {"symmetric": 0.0, "parity": 0.0, "multiplicity": 0.0}
-    fulls, mults = {}, {}
-    for name, dk, full, mult, parity in sector_maps(n1, n2, deck_sector):
-        gaps["symmetric"] = max(gaps["symmetric"], np.abs(dk - dk.T).max() / np.abs(dk).max())
+    fulls = {}
+    for name, inv_k, full, parity in sector_maps(n1, n2, deck_sector):
+        gaps["symmetric"] = max(gaps["symmetric"],
+                                np.abs(inv_k - inv_k.T).max() / np.abs(inv_k).max())
         gaps["parity"] = max(gaps["parity"], parity)
-        fulls[name], mults[name] = full, mult
-    for family in ("deck", "quarter"):
+        fulls[name] = full
+    for family, mult in (("deck", 2.0), ("quarter", 4.0)):
         names = [name for name in fulls if name.startswith(family)]
         if names:
             # the family's extensions are orthogonal, with squared norms D
             f = np.concatenate([fulls[name] for name in names], axis=1)
-            d = np.concatenate([np.full(fulls[name].shape[1], mults[name]) for name in names])
-            gaps["multiplicity"] = max(gaps["multiplicity"], np.abs(f.T @ f - np.diag(d)).max())
+            gaps["multiplicity"] = max(gaps["multiplicity"],
+                                       np.abs(f.T @ f - mult * np.eye(f.shape[1])).max())
     return gaps, {name: f.shape[1] for name, f in fulls.items()}
 
 
